@@ -153,16 +153,12 @@ fn protocol_json(p: &interleave::ProtocolReport) -> Json {
     })
 }
 
-/// Parse the documented env vars out of README text. `None` when the
-/// markers are absent.
-pub fn parse_registry(readme: &str) -> Option<BTreeSet<String>> {
-    let begin = readme.find(REGISTRY_BEGIN)?;
-    let end = readme[begin..].find(REGISTRY_END)? + begin;
-    let table = &readme[begin..end];
-    let mut vars = BTreeSet::new();
-    let bytes = table.as_bytes();
+/// Every maximal `BENCHTEMP_[A-Z0-9_]+` name in `text`.
+fn benchtemp_names(text: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    let bytes = text.as_bytes();
     let mut i = 0;
-    while let Some(at) = table[i..].find("BENCHTEMP_") {
+    while let Some(at) = text[i..].find("BENCHTEMP_") {
         let start = i + at;
         let mut stop = start + "BENCHTEMP_".len();
         while stop < bytes.len()
@@ -174,11 +170,59 @@ pub fn parse_registry(readme: &str) -> Option<BTreeSet<String>> {
         }
         // A bare "BENCHTEMP_" prefix with no name is not a variable.
         if stop > start + "BENCHTEMP_".len() {
-            vars.insert(table[start..stop].to_string());
+            names.push(&text[start..stop]);
         }
         i = stop;
     }
-    Some(vars)
+    names
+}
+
+/// Parse the documented env vars out of README text. `None` when the
+/// markers are absent.
+pub fn parse_registry(readme: &str) -> Option<BTreeSet<String>> {
+    let begin = readme.find(REGISTRY_BEGIN)?;
+    let end = readme[begin..].find(REGISTRY_END)? + begin;
+    Some(
+        benchtemp_names(&readme[begin..end])
+            .into_iter()
+            .map(str::to_string)
+            .collect(),
+    )
+}
+
+/// The stale-row half of `env-read-registry`: a registry row whose variable
+/// no scanned string literal names documents a knob nothing reads. One hit
+/// per stale variable, on the README line of its row.
+fn stale_registry_rows(
+    readme: &str,
+    registry: &BTreeSet<String>,
+    literals: &BTreeSet<String>,
+    out: &mut Vec<Violation>,
+) {
+    let mut reported = BTreeSet::new();
+    let rows = readme
+        .lines()
+        .enumerate()
+        .skip_while(|(_, l)| !l.contains(REGISTRY_BEGIN))
+        .take_while(|(_, l)| !l.contains(REGISTRY_END));
+    for (i, line) in rows {
+        for name in benchtemp_names(line) {
+            if registry.contains(name) && !literals.contains(name) && reported.insert(name) {
+                out.push(Violation {
+                    rule: rules::RULE_ENV_REGISTRY,
+                    file: "README.md".to_string(),
+                    line: i as u32 + 1,
+                    message: format!(
+                        "env registry row `{name}` is stale: no string literal in any \
+                         scanned file names it"
+                    ),
+                    waived: false,
+                    waive_reason: None,
+                    trace: Vec::new(),
+                });
+            }
+        }
+    }
 }
 
 /// Collect every auditable `.rs` file under `root/crates`, sorted so the
@@ -258,10 +302,16 @@ pub fn run_audit(root: &Path) -> std::io::Result<AuditReport> {
         });
     }
     let mut parsed: Vec<parser::ParsedFile> = Vec::new();
+    let mut literals = BTreeSet::new();
     for path in &files {
         let src = std::fs::read_to_string(path)?;
         let raw = lexer::lex(&src);
         let rel = rel_path(root, path);
+        for t in &raw {
+            if let lexer::Tok::Str(s) = &t.tok {
+                literals.extend(benchtemp_names(s).into_iter().map(str::to_string));
+            }
+        }
         rules::check_file(&rel, &raw, &registry, &mut violations);
         rules::collect_waivers(&rel, &raw, &mut waivers, &mut violations);
         // The call graph covers library/binary sources only: integration
@@ -271,6 +321,7 @@ pub fn run_audit(root: &Path) -> std::io::Result<AuditReport> {
             parsed.push(parser::parse_file(&rel, &raw));
         }
     }
+    stale_registry_rows(&readme, &registry, &literals, &mut violations);
     let ws = resolve::Workspace::build(parsed);
     interproc::check(&ws, &mut violations);
     let mut seen = std::collections::BTreeSet::new();

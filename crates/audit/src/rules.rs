@@ -1,5 +1,5 @@
-//! The eight workspace lint rules, each a pure function over one file's
-//! token stream. See DESIGN.md §10 for the rationale behind every rule and
+//! The six per-file token rules (five lint rules plus `waiver-syntax`),
+//! each a pure function over one file's token stream. See DESIGN.md §10 for the rationale behind every rule and
 //! the precise waiver semantics.
 //!
 //! Rules operate on lexed tokens (not an AST), so their matching is
@@ -17,9 +17,6 @@ pub const RULE_WALLCLOCK: &str = "no-wallclock-outside-obs";
 pub const RULE_THREAD_SPAWN: &str = "no-raw-thread-spawn";
 pub const RULE_SAFETY_COMMENT: &str = "safety-comment-required";
 pub const RULE_ENV_REGISTRY: &str = "env-read-registry";
-pub const RULE_UNFUSED_AFFINE: &str = "no-unfused-affine-chain";
-pub const RULE_PER_HEAD_ATTENTION: &str = "no-per-head-slice-attention";
-pub const RULE_SCALAR_GATHER: &str = "no-scalar-gather-in-hot-path";
 /// Pseudo-rule for malformed `audit-allow` comments (unknown rule name or
 /// missing reason). Never waivable — a waiver that cannot be read is noise.
 pub const RULE_WAIVER_SYNTAX: &str = "waiver-syntax";
@@ -29,15 +26,12 @@ pub const RULE_DETERMINISM_TAINT: &str = "determinism-taint-hot-path";
 pub const RULE_ALLOC_REACH: &str = "hot-path-alloc-reachability";
 pub const RULE_CLAIMED_WRITE: &str = "claimed-write-audit";
 
-pub const ALL_RULES: [&str; 12] = [
+pub const ALL_RULES: [&str; 9] = [
     RULE_HASH_ITER,
     RULE_WALLCLOCK,
     RULE_THREAD_SPAWN,
     RULE_SAFETY_COMMENT,
     RULE_ENV_REGISTRY,
-    RULE_UNFUSED_AFFINE,
-    RULE_PER_HEAD_ATTENTION,
-    RULE_SCALAR_GATHER,
     RULE_WAIVER_SYNTAX,
     RULE_DETERMINISM_TAINT,
     RULE_ALLOC_REACH,
@@ -138,9 +132,6 @@ pub fn check_file(
     thread_spawn(rel_path, &code, out);
     safety_comment(rel_path, raw, out);
     env_registry(rel_path, &code, registry, out);
-    unfused_affine_chain(rel_path, &code, out);
-    per_head_slice_attention(rel_path, &code, out);
-    scalar_gather_in_hot_path(rel_path, &code, out);
 }
 
 /// `no-hashmap-iteration-in-numeric-path`
@@ -385,6 +376,8 @@ fn safety_comment(rel_path: &str, raw: &[Token], out: &mut Vec<Violation>) {
 /// `BENCHTEMP_*` variable listed in README.md's env registry table.
 /// Undocumented environment inputs are invisible configuration — the exact
 /// thing that makes two "identical" benchmark runs disagree.
+/// The converse — a registry row no scanned string literal names — is a
+/// workspace-level check the driver runs after every file is lexed.
 fn env_registry(
     rel_path: &str,
     code: &[Token],
@@ -423,128 +416,6 @@ fn env_registry(
                 "`env::var` with a non-literal name cannot be checked against the registry"
                     .to_string(),
             )),
-        }
-    }
-}
-
-/// `no-unfused-affine-chain`
-///
-/// In `crates/models/`, a `.matmul(…)` call followed shortly by an
-/// `.add_row_broadcast(…)` call is the hand-rolled affine chain
-/// (`x·W + b`, usually with an activation on top) that
-/// `Tape::linear_affine` / `Linear::forward_act` replace with one fused
-/// node — same bits, one buffer, one backward arm. Model code should not
-/// grow new unfused copies of it. The matcher is a token-window heuristic
-/// (`add_row_broadcast` within 40 code tokens of a preceding `matmul`), in
-/// keeping with the tripwire-not-proof design of this driver; a genuinely
-/// unrelated adjacency can carry an `audit-allow` waiver saying why.
-fn unfused_affine_chain(rel_path: &str, code: &[Token], out: &mut Vec<Violation>) {
-    if !rel_path.starts_with("crates/models/") {
-        return;
-    }
-    const WINDOW: usize = 40;
-    let mut last_matmul: Option<usize> = None;
-    for i in 0..code.len() {
-        // Method-call form only: `.name(` — a definition or doc mention of
-        // either name is not a chain.
-        let is_call = i >= 1
-            && is_punct(&code[i - 1].tok, '.')
-            && code.get(i + 1).is_some_and(|t| is_punct(&t.tok, '('));
-        if !is_call {
-            continue;
-        }
-        if is_ident(&code[i].tok, "matmul") {
-            last_matmul = Some(i);
-        } else if is_ident(&code[i].tok, "add_row_broadcast")
-            && last_matmul.is_some_and(|m| i - m <= WINDOW)
-        {
-            out.push(violation(
-                RULE_UNFUSED_AFFINE,
-                rel_path,
-                code[i].line,
-                "`matmul` + `add_row_broadcast` chain; use the fused \
-                 `Tape::linear_affine` (or `Linear::forward_act`) — same bits, \
-                 one node"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// `no-per-head-slice-attention`
-///
-/// A `.slice_cols(…)` call followed shortly by a `.grouped_attention(…)`
-/// call is the hand-rolled per-head attention chain (slice each head's
-/// Q/K/V stripe, attend, concatenate) that the fused
-/// `Tape::multi_head_grouped_attention` replaces with one node over
-/// strided per-head views — same bits, no per-head buffer copies, one
-/// backward arm. Only the tape's own unfused fallback
-/// (`crates/tensor/src/tape.rs`) may spell the chain out. Same
-/// token-window heuristic as `no-unfused-affine-chain`; a genuinely
-/// unrelated adjacency can carry an `audit-allow` waiver saying why.
-fn per_head_slice_attention(rel_path: &str, code: &[Token], out: &mut Vec<Violation>) {
-    if rel_path == "crates/tensor/src/tape.rs" {
-        return;
-    }
-    const WINDOW: usize = 40;
-    let mut last_slice: Option<usize> = None;
-    for i in 0..code.len() {
-        // Method-call form only: `.name(` — a definition or doc mention of
-        // either name is not a chain.
-        let is_call = i >= 1
-            && is_punct(&code[i - 1].tok, '.')
-            && code.get(i + 1).is_some_and(|t| is_punct(&t.tok, '('));
-        if !is_call {
-            continue;
-        }
-        if is_ident(&code[i].tok, "slice_cols") {
-            last_slice = Some(i);
-        } else if is_ident(&code[i].tok, "grouped_attention")
-            && last_slice.is_some_and(|m| i - m <= WINDOW)
-        {
-            out.push(violation(
-                RULE_PER_HEAD_ATTENTION,
-                rel_path,
-                code[i].line,
-                "`slice_cols` + `grouped_attention` per-head chain; use the \
-                 fused `Tape::multi_head_grouped_attention` — same bits, no \
-                 per-head copies, one node"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// `no-scalar-gather-in-hot-path`
-///
-/// In `crates/models/`, a `.gather_rows(…)` call is the allocating scalar
-/// row-gather (one fresh `Matrix`, per-row copy loop) that
-/// `Tape::gather_rows_from` replaces with a pool-granted, run-length
-/// coalesced gather — same bits, zero steady-state allocations, and a
-/// `tape.gather_coalesced_runs` counter for free. Frontier-shaped index
-/// lists are exactly where the coalescing pays, so model code should not
-/// grow new scalar copies of the pattern. Method-call form only (a
-/// definition or doc mention is not a gather); a deliberate scalar
-/// baseline — e.g. one kept for equivalence tests — can carry an
-/// `audit-allow` waiver saying why.
-fn scalar_gather_in_hot_path(rel_path: &str, code: &[Token], out: &mut Vec<Violation>) {
-    if !rel_path.starts_with("crates/models/") {
-        return;
-    }
-    for i in 0..code.len() {
-        let is_call = i >= 1
-            && is_punct(&code[i - 1].tok, '.')
-            && code.get(i + 1).is_some_and(|t| is_punct(&t.tok, '('));
-        if is_call && is_ident(&code[i].tok, "gather_rows") {
-            out.push(violation(
-                RULE_SCALAR_GATHER,
-                rel_path,
-                code[i].line,
-                "`.gather_rows(…)` scalar gather in model code; use the \
-                 coalesced `Tape::gather_rows_from` — same bits, pooled \
-                 storage, no per-row copy loop"
-                    .to_string(),
-            ));
         }
     }
 }
@@ -766,123 +637,6 @@ mod tests {
         // Other env:: functions are not var reads.
         let tempdir = "fn f() { let _ = std::env::temp_dir(); }\n";
         assert!(run("crates/core/src/x.rs", tempdir).is_empty());
-    }
-
-    #[test]
-    fn unfused_affine_chain_flagged_only_in_models() {
-        let src = "fn f(g: &mut Tape, x: Var, w: Var, b: Var) -> Var {\n\
-                   let h = g.matmul(x, w);\n\
-                   let a = g.add_row_broadcast(h, b);\n\
-                   g.relu(a)\n\
-                   }\n";
-        let hits = run("crates/models/src/x.rs", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, RULE_UNFUSED_AFFINE);
-        assert_eq!(hits[0].line, 3);
-        // The tape's own fallback implementation (crates/tensor) is exempt.
-        assert!(run("crates/tensor/src/tape.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unfused_affine_chain_needs_both_calls_nearby() {
-        let only_broadcast = "fn f(g: &mut Tape, h: Var, b: Var) -> Var {\n\
-                              g.add_row_broadcast(h, b)\n\
-                              }\n";
-        assert!(run("crates/models/src/x.rs", only_broadcast).is_empty());
-
-        let only_matmul = "fn f(g: &mut Tape, x: Var, w: Var) -> Var { g.matmul(x, w) }\n";
-        assert!(run("crates/models/src/x.rs", only_matmul).is_empty());
-
-        // Far apart (> 40 code tokens between the calls): separate
-        // computations, not a chain.
-        let filler = "let z0 = 0; let z1 = 0; let z2 = 0; let z3 = 0; let z4 = 0;\n\
-                      let z5 = 0; let z6 = 0; let z7 = 0; let z8 = 0; let z9 = 0;\n";
-        let far = format!(
-            "fn f(g: &mut Tape, x: Var, w: Var, h: Var, b: Var) {{\n\
-             let m = g.matmul(x, w);\n{filler}\
-             let a = g.add_row_broadcast(h, b);\n\
-             drop((m, a));\n\
-             }}\n"
-        );
-        assert!(run("crates/models/src/x.rs", &far).is_empty());
-
-        // Definition/mention of the names is not a call chain.
-        let defs = "fn matmul() {}\nfn add_row_broadcast() {}\n";
-        assert!(run("crates/models/src/x.rs", defs).is_empty());
-    }
-
-    #[test]
-    fn per_head_slice_attention_flagged_outside_tape() {
-        let src = "fn f(g: &mut Tape, q: Var, k: Var, v: Var, m: &[bool]) -> Var {\n\
-                   let qh = g.slice_cols(q, 0, 4);\n\
-                   let kh = g.slice_cols(k, 0, 4);\n\
-                   let vh = g.slice_cols(v, 0, 4);\n\
-                   g.grouped_attention(qh, kh, vh, 3, m)\n\
-                   }\n";
-        let hits = run("crates/models/src/x.rs", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, RULE_PER_HEAD_ATTENTION);
-        assert_eq!(hits[0].line, 5);
-        // Unlike the affine rule this fires anywhere in the workspace…
-        assert_eq!(run("crates/tensor/src/nn.rs", src).len(), 1);
-        // …except the tape's own unfused fallback.
-        assert!(run("crates/tensor/src/tape.rs", src).is_empty());
-    }
-
-    #[test]
-    fn per_head_slice_attention_needs_both_calls_nearby() {
-        // A lone grouped_attention (single-head use) is fine.
-        let single = "fn f(g: &mut Tape, q: Var, k: Var, v: Var, m: &[bool]) -> Var {\n\
-                      g.grouped_attention(q, k, v, 3, m)\n\
-                      }\n";
-        assert!(run("crates/models/src/x.rs", single).is_empty());
-
-        // slice_cols on its own is fine too.
-        let slice = "fn f(g: &mut Tape, x: Var) -> Var { g.slice_cols(x, 0, 4) }\n";
-        assert!(run("crates/models/src/x.rs", slice).is_empty());
-
-        // Far apart (> 40 code tokens): separate computations, not a chain.
-        let filler = "let z0 = 0; let z1 = 0; let z2 = 0; let z3 = 0; let z4 = 0;\n\
-                      let z5 = 0; let z6 = 0; let z7 = 0; let z8 = 0; let z9 = 0;\n";
-        let far = format!(
-            "fn f(g: &mut Tape, x: Var, q: Var, k: Var, v: Var, m: &[bool]) {{\n\
-             let s = g.slice_cols(x, 0, 4);\n{filler}\
-             let a = g.grouped_attention(q, k, v, 3, m);\n\
-             drop((s, a));\n\
-             }}\n"
-        );
-        assert!(run("crates/models/src/x.rs", &far).is_empty());
-
-        // Definition/mention of the names is not a call chain.
-        let defs = "fn slice_cols() {}\nfn grouped_attention() {}\n";
-        assert!(run("crates/models/src/x.rs", defs).is_empty());
-    }
-
-    #[test]
-    fn scalar_gather_flagged_only_in_models() {
-        let src = "fn f(m: &Matrix, ids: &[usize]) -> Matrix {\n\
-                   m.gather_rows(ids)\n\
-                   }\n";
-        let hits = run("crates/models/src/x.rs", src);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, RULE_SCALAR_GATHER);
-        assert_eq!(hits[0].line, 2);
-        // The tensor crate owns the primitive — its definition, tests, and
-        // the tape's unfused fallback are all out of scope.
-        assert!(run("crates/tensor/src/matrix.rs", src).is_empty());
-        assert!(run("crates/tensor/src/tape.rs", src).is_empty());
-    }
-
-    #[test]
-    fn scalar_gather_requires_method_call_form() {
-        // Definition/mention of the name is not a gather.
-        let defs = "fn gather_rows() {}\nconst GATHER: &str = \"gather_rows\";\n";
-        assert!(run("crates/models/src/x.rs", defs).is_empty());
-        // The coalesced tape entry point is the sanctioned spelling.
-        let fused = "fn f(g: &mut Graph, m: &Matrix, ids: &[usize]) -> Var {\n\
-                     g.gather_rows_from(m, ids)\n\
-                     }\n";
-        assert!(run("crates/models/src/x.rs", fused).is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use benchtemp_models::zoo;
 use benchtemp_obs as obs;
 use benchtemp_tensor::init::SeededRng;
 use benchtemp_tensor::nn::Mlp;
-use benchtemp_tensor::{fusion, init, pool, Graph, Matrix, ParamStore};
+use benchtemp_tensor::{init, pool, Graph, Matrix, ParamStore};
 use benchtemp_util::json;
 
 const NODE_DIM: usize = 32;
@@ -366,9 +366,9 @@ impl SamplingWorkload {
 }
 
 /// Training-step workload for the fused tape engine: TGAT and TGN — the
-/// attention-heavy and memory-family configs the fusion gate is measured
-/// on. One "step" is a 100-event `train_batch` (forward + backward + Adam)
-/// on a model whose temporal state was warmed by streaming the graph prefix.
+/// attention-heavy and memory-family configs. One "step" is a 100-event
+/// `train_batch` (forward + backward + Adam) on a model whose temporal
+/// state was warmed by streaming the graph prefix.
 struct TrainStepWorkload {
     graph: TemporalGraph,
     nf: NeighborFinder,
@@ -401,14 +401,10 @@ impl TrainStepWorkload {
             .collect()
     }
 
-    /// Build + warm a model with fusion forced to `fused`, run `steps`
-    /// consecutive 100-event training steps, and return the per-step loss
-    /// bits plus the warmed model (reused by the timing measurement).
-    ///
-    /// Leaves the fusion override set to `fused` so the caller can time the
-    /// returned model on the same path; the caller restores `None`.
-    fn trajectory(&self, name: &str, fused: bool) -> (Vec<u32>, Box<dyn TgnnModel>) {
-        fusion::set_forced(Some(fused));
+    /// Build + warm a model, run `steps` consecutive 100-event training
+    /// steps, and return the per-step loss bits plus the warmed model
+    /// (reused by the timing measurement).
+    fn trajectory(&self, name: &str) -> (Vec<u32>, Box<dyn TgnnModel>) {
         let ctx = StreamContext {
             graph: &self.graph,
             neighbors: NeighborBackend::Resident(&self.nf),
@@ -440,33 +436,15 @@ impl TrainStepWorkload {
         (bits, model)
     }
 
-    /// Median ns of one more training step on each of two already-warmed
-    /// models — the unfused- and fused-warmed pair — timed *interleaved*
-    /// (`timing::measure_paired`) so host drift between the two
-    /// measurements cannot masquerade as a fusion speedup or slowdown.
-    /// Each timed call re-pins the fusion override its model was warmed
-    /// under. Returns `(unfused_ns, fused_ns)`.
-    fn step_ns_pair(
-        &self,
-        unfused: &mut Box<dyn TgnnModel>,
-        fused: &mut Box<dyn TgnnModel>,
-    ) -> (f64, f64) {
+    /// Median ns of one more training step on an already-warmed model.
+    fn step_ns(&self, model: &mut Box<dyn TgnnModel>) -> f64 {
         let ctx = StreamContext {
             graph: &self.graph,
             neighbors: NeighborBackend::Resident(&self.nf),
         };
         let batch = &self.graph.events[self.warm..self.warm + 100];
         let negs = self.negs_for(batch);
-        timing::measure_paired(
-            &mut || {
-                fusion::set_forced(Some(false));
-                std::hint::black_box(unfused.train_batch(&ctx, batch, &negs))
-            },
-            &mut || {
-                fusion::set_forced(Some(true));
-                std::hint::black_box(fused.train_batch(&ctx, batch, &negs))
-            },
-        )
+        timing::measure(&mut || std::hint::black_box(model.train_batch(&ctx, batch, &negs)))
     }
 
     /// Fraction of one training step's dense time spent inside the
@@ -766,37 +744,24 @@ fn run_child(smoke: bool) {
         (off, on)
     };
 
-    // Fused tape engine (DESIGN.md §11): `train_batch` on TGAT and TGN with
-    // the fused ops forced off vs on. Fusion is a pure execution-strategy
-    // switch, so the per-step loss trajectories must match bit-for-bit; the
-    // fused trajectory is also hashed so the parent can assert it does not
-    // depend on the thread count either (the fused backward runs on the
+    // Fused tape engine (DESIGN.md §11): `train_batch` on TGAT and TGN. The
+    // per-step loss trajectory is hashed so the parent can assert it does
+    // not depend on the thread count (the fused backward runs on the
     // slab-parallel claims protocol). Timing only in the single-thread
-    // child — the speedup target is a single-thread contract.
+    // child.
     let ts = TrainStepWorkload::new(smoke);
     let mut ts_traj_hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut ts_ns = [0.0f64; 4]; // [tgat_unfused, tgat_fused, tgn_unfused, tgn_fused]
-    let mut ts_att_share = [0.0f64; 2]; // TGAT [unfused, fused] attention share of dense
+    let mut ts_ns = [0.0f64; 2]; // [tgat, tgn]
+    let mut ts_att_share = 0.0f64; // TGAT attention share of dense
     for (mi, name) in ["TGAT", "TGN"].iter().enumerate() {
-        let (unfused_traj, mut unfused_model) = ts.trajectory(name, false);
-        let (fused_traj, mut fused_model) = ts.trajectory(name, true);
+        let (traj, mut model) = ts.trajectory(name);
         if pool().threads() == 1 {
-            let (u_ns, f_ns) = ts.step_ns_pair(&mut unfused_model, &mut fused_model);
-            ts_ns[mi * 2] = u_ns;
-            ts_ns[mi * 2 + 1] = f_ns;
+            ts_ns[mi] = ts.step_ns(&mut model);
             if mi == 0 {
-                fusion::set_forced(Some(false));
-                ts_att_share[0] = ts.attention_share(&mut unfused_model);
-                fusion::set_forced(Some(true));
-                ts_att_share[1] = ts.attention_share(&mut fused_model);
+                ts_att_share = ts.attention_share(&mut model);
             }
         }
-        fusion::set_forced(None);
-        assert_eq!(
-            unfused_traj, fused_traj,
-            "{name}: fused training loss trajectory must be bit-identical to unfused"
-        );
-        for &b in &fused_traj {
+        for &b in &traj {
             ts_traj_hash = fnv1a(ts_traj_hash, b as u64);
         }
     }
@@ -897,8 +862,7 @@ fn run_child(smoke: bool) {
          gather_coalesced_ns {} gather_hash {:016x} \
          trace_plain_ns {} trace_inert_ns {} trace_rec_ns {} trace_on_ns {} \
          pass_ns {} san_off_ns {} san_on_ns {} \
-         ts_tgat_unfused_ns {} ts_tgat_fused_ns {} ts_tgn_unfused_ns {} ts_tgn_fused_ns {} \
-         ts_tgat_att_share_unfused {} ts_tgat_att_share_fused {} ts_traj_hash {:016x} \
+         ts_tgat_ns {} ts_tgn_ns {} ts_tgat_att_share {} ts_traj_hash {:016x} \
          store_bulk_ns {} store_events {} store_tiny_ns {} store_big_ns {} \
          store_evictions {} store_cache_bytes {} store_digest {:016x} \
          store_frontier_hash {:016x}",
@@ -938,10 +902,7 @@ fn run_child(smoke: bool) {
         san_on_ns,
         ts_ns[0],
         ts_ns[1],
-        ts_ns[2],
-        ts_ns[3],
-        ts_att_share[0],
-        ts_att_share[1],
+        ts_att_share,
         ts_traj_hash,
         store_bulk_ns,
         store_events,
@@ -990,12 +951,9 @@ struct ChildReport {
     pass_ns: f64,
     san_off_ns: f64,
     san_on_ns: f64,
-    ts_tgat_unfused_ns: f64,
-    ts_tgat_fused_ns: f64,
-    ts_tgn_unfused_ns: f64,
-    ts_tgn_fused_ns: f64,
-    ts_tgat_att_share_unfused: f64,
-    ts_tgat_att_share_fused: f64,
+    ts_tgat_ns: f64,
+    ts_tgn_ns: f64,
+    ts_tgat_att_share: f64,
     ts_traj_hash: String,
     store_bulk_ns: f64,
     store_events: f64,
@@ -1068,12 +1026,9 @@ fn spawn_child(threads: usize, smoke: bool) -> ChildReport {
         pass_ns: field("pass_ns").parse().unwrap(),
         san_off_ns: field("san_off_ns").parse().unwrap(),
         san_on_ns: field("san_on_ns").parse().unwrap(),
-        ts_tgat_unfused_ns: field("ts_tgat_unfused_ns").parse().unwrap(),
-        ts_tgat_fused_ns: field("ts_tgat_fused_ns").parse().unwrap(),
-        ts_tgn_unfused_ns: field("ts_tgn_unfused_ns").parse().unwrap(),
-        ts_tgn_fused_ns: field("ts_tgn_fused_ns").parse().unwrap(),
-        ts_tgat_att_share_unfused: field("ts_tgat_att_share_unfused").parse().unwrap(),
-        ts_tgat_att_share_fused: field("ts_tgat_att_share_fused").parse().unwrap(),
+        ts_tgat_ns: field("ts_tgat_ns").parse().unwrap(),
+        ts_tgn_ns: field("ts_tgn_ns").parse().unwrap(),
+        ts_tgat_att_share: field("ts_tgat_att_share").parse().unwrap(),
         ts_traj_hash: field("ts_traj_hash"),
         store_bulk_ns: field("store_bulk_ns").parse().unwrap(),
         store_events: field("store_events").parse().unwrap(),
@@ -1306,33 +1261,20 @@ fn main() {
          bit-identical either way"
     );
 
-    // Fused tape engine: the loss-trajectory equality fused-vs-unfused is
-    // asserted inside each child; here the cross-thread contract.
+    // Fused tape engine: the cross-thread loss-trajectory contract.
     assert_eq!(
         single.ts_traj_hash, multi.ts_traj_hash,
-        "fused training loss trajectory must be bit-identical across thread counts"
-    );
-    let tgat_speedup = single.ts_tgat_unfused_ns / single.ts_tgat_fused_ns;
-    let tgn_speedup = single.ts_tgn_unfused_ns / single.ts_tgn_fused_ns;
-    println!(
-        "train_step TGAT (1 thread): unfused {:.0} ns -> fused {:.0} ns  ({tgat_speedup:.2}x, \
-         target 1.5x)",
-        single.ts_tgat_unfused_ns, single.ts_tgat_fused_ns
+        "training loss trajectory must be bit-identical across thread counts"
     );
     println!(
-        "train_step TGN (1 thread): unfused {:.0} ns -> fused {:.0} ns  ({tgn_speedup:.2}x, \
-         target 1.5x)",
-        single.ts_tgn_unfused_ns, single.ts_tgn_fused_ns
+        "train_step (1 thread): TGAT {:.0} ns, TGN {:.0} ns; TGAT attention {:.1}% of dense \
+         step time",
+        single.ts_tgat_ns,
+        single.ts_tgn_ns,
+        100.0 * single.ts_tgat_att_share
     );
     println!(
-        "train_step TGAT attention attribution (share of dense step time): \
-         unfused {:.1}% -> fused {:.1}%",
-        100.0 * single.ts_tgat_att_share_unfused,
-        100.0 * single.ts_tgat_att_share_fused
-    );
-    println!(
-        "train_step loss bit-identical: fused == unfused, and across thread counts \
-         (trajectory hash {})",
+        "train_step loss bit-identical across thread counts (trajectory hash {})",
         single.ts_traj_hash
     );
 
@@ -1443,16 +1385,10 @@ fn main() {
         },
         "train_step": {
             "workload": "100-event train_batch (forward + backward + Adam) after warming temporal state on the graph prefix",
-            "tgat_unfused_ns_single_thread": single.ts_tgat_unfused_ns,
-            "tgat_fused_ns_single_thread": single.ts_tgat_fused_ns,
-            "tgat_fused_speedup": tgat_speedup,
-            "tgat_attention_share_of_dense_unfused": single.ts_tgat_att_share_unfused,
-            "tgat_attention_share_of_dense_fused": single.ts_tgat_att_share_fused,
-            "tgat_attention_ns_single_thread": single.ts_tgat_fused_ns * single.ts_tgat_att_share_fused,
-            "tgn_unfused_ns_single_thread": single.ts_tgn_unfused_ns,
-            "tgn_fused_ns_single_thread": single.ts_tgn_fused_ns,
-            "tgn_fused_speedup": tgn_speedup,
-            "single_thread_target": 1.5,
+            "tgat_fused_ns_single_thread": single.ts_tgat_ns,
+            "tgat_attention_share_of_dense_fused": single.ts_tgat_att_share,
+            "tgat_attention_ns_single_thread": single.ts_tgat_ns * single.ts_tgat_att_share,
+            "tgn_fused_ns_single_thread": single.ts_tgn_ns,
             "loss_bit_identical": true,
         },
         "audit": {

@@ -279,47 +279,6 @@ pub mod timing {
         samples.sort_by(f64::total_cmp);
         samples[SAMPLES / 2]
     }
-
-    /// Median ns/iter of `a` and `b`, interleaved: each sample round times
-    /// a bulk of `a` immediately followed by a bulk of `b`, so slow
-    /// machine-wide drift (the dominant noise on a shared runner) lands on
-    /// both sides of an A/B comparison instead of biasing whichever path
-    /// happened to be measured later.
-    pub fn measure_paired<T, U, A: FnMut() -> T, B: FnMut() -> U>(
-        a: &mut A,
-        b: &mut B,
-    ) -> (f64, f64) {
-        // Warm-up doubles as per-side calibration.
-        let start = Instant::now();
-        std::hint::black_box(a());
-        let once_a = start.elapsed();
-        let start = Instant::now();
-        std::hint::black_box(b());
-        let once_b = start.elapsed();
-        let iters = |once: Duration| {
-            (MIN_SAMPLE.as_secs_f64() / once.as_secs_f64().max(1e-9))
-                .ceil()
-                .clamp(1.0, 1e7) as u64
-        };
-        let (ia, ib) = (iters(once_a), iters(once_b));
-        let mut sa = [0.0f64; SAMPLES];
-        let mut sb = [0.0f64; SAMPLES];
-        for (ra, rb) in sa.iter_mut().zip(sb.iter_mut()) {
-            let start = Instant::now();
-            for _ in 0..ia {
-                std::hint::black_box(a());
-            }
-            *ra = start.elapsed().as_secs_f64() * 1e9 / ia as f64;
-            let start = Instant::now();
-            for _ in 0..ib {
-                std::hint::black_box(b());
-            }
-            *rb = start.elapsed().as_secs_f64() * 1e9 / ib as f64;
-        }
-        sa.sort_by(f64::total_cmp);
-        sb.sort_by(f64::total_cmp);
-        (sa[SAMPLES / 2], sb[SAMPLES / 2])
-    }
 }
 
 pub fn save_json<T: ToJson + ?Sized>(dir: &Path, name: &str, value: &T) {

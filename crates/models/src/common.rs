@@ -115,16 +115,10 @@ impl NodeMemory {
         self.last_update.iter_mut().for_each(|t| *t = 0.0);
     }
 
-    /// Gather memory rows for a node list (detached copy).
-    pub fn rows(&self, nodes: &[usize]) -> Matrix {
-        // audit-allow(no-scalar-gather-in-hot-path): scalar baseline kept for equivalence tests and non-tape consumers; tape paths use `rows_var`
-        self.mem.gather_rows(nodes)
-    }
-
-    /// Memory rows as a pooled tape leaf: one run-length-coalesced SoA
-    /// gather straight into recycled tape storage — bit-identical to
-    /// `g.input(self.rows(nodes))` without the per-row copy loop or the
-    /// intermediate allocation.
+    /// Memory rows for a node list as a pooled tape leaf (detached): one
+    /// run-length-coalesced SoA gather straight into recycled tape storage,
+    /// bit-identical to `Matrix::gather_rows` without the per-row copy loop
+    /// or the intermediate allocation.
     pub fn rows_var(&self, g: &mut Graph, nodes: &[usize]) -> Var {
         g.gather_rows_from(&self.mem, nodes)
     }
@@ -207,26 +201,14 @@ impl NeighborBatch {
         }
     }
 
-    /// Node features of the neighbor slots ((n·k) × node_dim).
-    pub fn node_feats(&self, ctx: &StreamContext) -> Matrix {
-        // audit-allow(no-scalar-gather-in-hot-path): scalar baseline kept for the gather equivalence tests; tape paths use `node_feats_var`
-        ctx.graph.node_features.gather_rows(&self.ids)
-    }
-
-    /// Edge features of the originating events ((n·k) × edge_dim).
-    pub fn edge_feats(&self, ctx: &StreamContext) -> Matrix {
-        // audit-allow(no-scalar-gather-in-hot-path): scalar baseline kept for the gather equivalence tests; tape paths use `edge_feats_var`
-        ctx.graph.edge_features.gather_rows(&self.feat_idx)
-    }
-
-    /// Neighbor node features as a pooled tape leaf (coalesced SoA gather);
-    /// bit-identical to `g.input(self.node_feats(ctx))`.
+    /// Node features of the neighbor slots ((n·k) × node_dim) as a pooled
+    /// tape leaf (coalesced SoA gather).
     pub fn node_feats_var(&self, g: &mut Graph, ctx: &StreamContext) -> Var {
         g.gather_rows_from(&ctx.graph.node_features, &self.ids)
     }
 
-    /// Originating-event edge features as a pooled tape leaf (coalesced SoA
-    /// gather); bit-identical to `g.input(self.edge_feats(ctx))`.
+    /// Edge features of the originating events ((n·k) × edge_dim) as a
+    /// pooled tape leaf (coalesced SoA gather).
     pub fn edge_feats_var(&self, g: &mut Graph, ctx: &StreamContext) -> Var {
         g.gather_rows_from(&ctx.graph.edge_features, &self.feat_idx)
     }
@@ -269,14 +251,8 @@ impl BatchView {
         }
     }
 
-    /// Edge features of the batch's events.
-    pub fn edge_feats(&self, ctx: &StreamContext) -> Matrix {
-        // audit-allow(no-scalar-gather-in-hot-path): scalar baseline kept for the gather equivalence tests; tape paths use `edge_feats_var`
-        ctx.graph.edge_features.gather_rows(&self.feat_idx)
-    }
-
-    /// Batch edge features as a pooled tape leaf (coalesced SoA gather);
-    /// bit-identical to `g.input(self.edge_feats(ctx))`.
+    /// Edge features of the batch's events as a pooled tape leaf
+    /// (coalesced SoA gather).
     pub fn edge_feats_var(&self, g: &mut Graph, ctx: &StreamContext) -> Var {
         g.gather_rows_from(&ctx.graph.edge_features, &self.feat_idx)
     }
@@ -376,8 +352,12 @@ mod tests {
             nb.mask[4..].iter().any(|&m| m),
             "late query should have neighbors"
         );
-        assert_eq!(nb.node_feats(&ctx).shape(), (8, g.node_dim()));
-        assert_eq!(nb.edge_feats(&ctx).shape(), (8, g.edge_dim()));
+        let store = ParamStore::new();
+        let mut gr = Graph::new(&store);
+        let nv = nb.node_feats_var(&mut gr, &ctx);
+        let ev = nb.edge_feats_var(&mut gr, &ctx);
+        assert_eq!(gr.shape(nv), (8, g.node_dim()));
+        assert_eq!(gr.shape(ev), (8, g.edge_dim()));
     }
 
     #[test]

@@ -1,18 +1,13 @@
 //! Byte-equivalence of the SoA frontier gather path against the scalar
-//! baselines it replaced.
+//! per-row gather.
 //!
-//! The frontier engine now emits a pre-resolved `feat_idx` column and the
+//! The frontier engine emits a pre-resolved `feat_idx` column and the
 //! models gather features through `Tape::gather_rows_from` (pooled,
-//! run-length coalesced). Both changes are pure layout/execution moves, so
-//! this test pins them bitwise over a seeded grid of hop counts ×
-//! sampling strategies — with the index lists exactly as the frontier
-//! produces them, duplicates and masked (padded) slots included — against
-//! the per-slot event resolution and the allocating per-row gathers.
-//!
-//! `fusion::set_forced` is process-global, so every test flipping it holds
-//! [`FUSION_LOCK`] for its whole body.
-
-use std::sync::Mutex;
+//! run-length coalesced). Both are pure layout/execution moves, so this
+//! test pins them bitwise over a seeded grid of hop counts × sampling
+//! strategies — with the index lists exactly as the frontier produces
+//! them, duplicates and masked (padded) slots included — against the
+//! per-slot event resolution and the allocating `Matrix::gather_rows`.
 
 use benchtemp_core::pipeline::StreamContext;
 use benchtemp_graph::generators::GeneratorConfig;
@@ -20,9 +15,7 @@ use benchtemp_graph::neighbors::SamplingStrategy;
 use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_graph::NeighborFinder;
 use benchtemp_models::common::{NeighborBatch, NodeMemory};
-use benchtemp_tensor::{fusion, init, Graph, Matrix, ParamStore};
-
-static FUSION_LOCK: Mutex<()> = Mutex::new(());
+use benchtemp_tensor::{init, Graph, Matrix, ParamStore};
 
 const STRATS: [SamplingStrategy; 4] = [
     SamplingStrategy::MostRecent,
@@ -37,7 +30,6 @@ fn bits(m: &Matrix) -> Vec<u32> {
 
 #[test]
 fn frontier_gathers_match_scalar_baselines_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     let g = GeneratorConfig::small("soa-gather", 4021).generate();
     let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
     let ctx = StreamContext {
@@ -86,28 +78,21 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
                 saw_duplicate |= sorted.windows(2).any(|w| w[0] == w[1]);
 
                 let nb = NeighborBatch::from_hop(hop, k);
-                let node_base = bits(&nb.node_feats(&ctx));
-                let edge_base = bits(&nb.edge_feats(&ctx));
-                // The tape gathers must reproduce the scalar baselines
-                // bitwise in both fusion modes (coalesced pooled path and
-                // the allocating fallback).
-                for fused in [true, false] {
-                    fusion::set_forced(Some(fused));
-                    let mut gr = Graph::new(&store);
-                    let nv = nb.node_feats_var(&mut gr, &ctx);
-                    let ev = nb.edge_feats_var(&mut gr, &ctx);
-                    assert_eq!(
-                        bits(gr.value(nv)),
-                        node_base,
-                        "node feature gather diverged (hops={hops}, strat {si}, fused={fused})"
-                    );
-                    assert_eq!(
-                        bits(gr.value(ev)),
-                        edge_base,
-                        "edge feature gather diverged (hops={hops}, strat {si}, fused={fused})"
-                    );
-                    fusion::set_forced(None);
-                }
+                // The coalesced tape gathers must reproduce the scalar
+                // per-row gather bitwise.
+                let mut gr = Graph::new(&store);
+                let nv = nb.node_feats_var(&mut gr, &ctx);
+                let ev = nb.edge_feats_var(&mut gr, &ctx);
+                assert_eq!(
+                    bits(gr.value(nv)),
+                    bits(&g.node_features.gather_rows(&nb.ids)),
+                    "node feature gather diverged (hops={hops}, strat {si})"
+                );
+                assert_eq!(
+                    bits(gr.value(ev)),
+                    bits(&g.edge_features.gather_rows(&nb.feat_idx)),
+                    "edge feature gather diverged (hops={hops}, strat {si})"
+                );
             }
         }
     }
@@ -117,7 +102,6 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
 
 #[test]
 fn memory_rows_var_matches_scalar_rows_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     let n = 64;
     let d = 24;
     let mut mem = NodeMemory::new(n, d);
@@ -129,17 +113,13 @@ fn memory_rows_var_matches_scalar_rows_bitwise() {
     // Frontier-shaped access: repeats, back-jumps, and an ascending run.
     let mut idx: Vec<usize> = vec![3, 3, 3, 17, 5, 6, 7, 8, 0, 63, 63, 2];
     idx.extend(40..52);
+    // Every node was written in order, so the memory table equals `values`.
     let store = ParamStore::new();
-    let base = bits(&mem.rows(&idx));
-    for fused in [true, false] {
-        fusion::set_forced(Some(fused));
-        let mut gr = Graph::new(&store);
-        let mv = mem.rows_var(&mut gr, &idx);
-        assert_eq!(
-            bits(gr.value(mv)),
-            base,
-            "memory row gather diverged (fused={fused})"
-        );
-        fusion::set_forced(None);
-    }
+    let mut gr = Graph::new(&store);
+    let mv = mem.rows_var(&mut gr, &idx);
+    assert_eq!(
+        bits(gr.value(mv)),
+        bits(&values.gather_rows(&idx)),
+        "memory row gather diverged"
+    );
 }

@@ -89,7 +89,8 @@ pub static PEAK_RSS_SAMPLES: Counter = Counter::new("peak_rss_samples");
 pub static SANITIZE_BATCHES_CHECKED: Counter = Counter::new("sanitize_batches_checked");
 /// Individual chunk-slot claims the sanitizer verified for disjointness.
 pub static SANITIZE_CLAIMS_CHECKED: Counter = Counter::new("sanitize_claims_checked");
-/// Fused tape nodes executed (`LinearAffine`, `TimeEncodeFused`).
+/// Fused tape nodes executed (`LinearAffine`, `TimeEncodeFused`,
+/// `MultiHeadGroupedAttention`, and the `gather_rows_from` leaf).
 pub static FUSED_OPS_EXECUTED: Counter = Counter::new("fused_ops_executed");
 /// Tape forward/backward buffers served from the recycled `BufferPool`.
 pub static TAPE_POOL_HITS: Counter = Counter::new("tape_pool_hits");

@@ -25,7 +25,6 @@
 //! ```
 
 pub mod checkpoint;
-pub mod fusion;
 pub mod init;
 pub mod matrix;
 pub mod nn;

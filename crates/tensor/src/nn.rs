@@ -272,8 +272,7 @@ impl MultiHeadAttention {
     /// All heads run inside one fused [`Op::MultiHeadGroupedAttention`] node
     /// reading strided per-head views of the packed Q/K/V projections — no
     /// per-head `slice_cols` copies, per-head attention nodes, or
-    /// `concat_cols_many`. With fusion disabled the tape emits exactly that
-    /// per-head chain, bit-identically.
+    /// `concat_cols_many`.
     pub fn forward(
         &self,
         g: &mut Graph,

@@ -627,12 +627,8 @@ impl Tape {
     /// is byte-for-byte the source row, so coalescing cannot change bits;
     /// the run count is a pure function of the index list and is ticked
     /// into `tape.gather_coalesced_runs`. Like `gather_rows` on a leaf,
-    /// no gradient flows to `src`. With fusion disabled it emits exactly
-    /// the allocating scalar path.
+    /// no gradient flows to `src`.
     pub fn gather_rows_from(&mut self, src: &Matrix, indices: &[usize]) -> Var {
-        if !crate::fusion::enabled() {
-            return self.leaf(src.gather_rows(indices));
-        }
         let _span = benchtemp_obs::span("gather");
         let mut out = self.alloc_raw(indices.len(), src.cols());
         let runs = src.gather_rows_into(indices, &mut out);
@@ -780,8 +776,7 @@ impl Tape {
     /// operation order over the same values, stripes are disjoint, and a
     /// `+=` accumulation from a zeroed buffer never produces `-0.0`, so the
     /// unfused chain's cross-head gradient `add_assign` of disjoint-stripe
-    /// zero matrices is an exact no-op (see DESIGN.md §12). With fusion
-    /// disabled it emits exactly that chain.
+    /// zero matrices is an exact no-op (see DESIGN.md §12).
     pub fn multi_head_grouped_attention(
         &mut self,
         q: Var,
@@ -796,19 +791,6 @@ impl Tape {
             heads > 0 && model_dim.is_multiple_of(heads),
             "multi_head_grouped_attention: model_dim must divide by heads"
         );
-        if !crate::fusion::enabled() {
-            let head_dim = model_dim / heads;
-            let mut head_outs = Vec::with_capacity(heads);
-            for h in 0..heads {
-                let lo = h * head_dim;
-                let hi = lo + head_dim;
-                let qh = self.slice_cols(q, lo, hi);
-                let kh = self.slice_cols(k, lo, hi);
-                let vh = self.slice_cols(v, lo, hi);
-                head_outs.push(self.grouped_attention(qh, kh, vh, group, mask));
-            }
-            return self.concat_cols_many(&head_outs);
-        }
         let hd = model_dim / heads;
         let mut out = self.alloc_zeroed(n, model_dim);
         let mut weights = self.alloc_raw(n, heads * group);
@@ -883,19 +865,8 @@ impl Tape {
     /// to the chain `matmul` → `add_row_broadcast` → activation — the same
     /// matmul kernel fills the buffer and the epilogue applies
     /// `act(xw + b[j])` in the same per-element order the separate ops
-    /// would (see DESIGN.md §11). With fusion disabled (`BENCHTEMP_FUSION=0`
-    /// or [`crate::fusion::set_forced`]) it emits exactly that chain.
+    /// would (see DESIGN.md §11).
     pub fn linear_affine(&mut self, x: Var, w: Var, b: Var, act: Activation) -> Var {
-        if !crate::fusion::enabled() {
-            let xw = self.matmul(x, w);
-            let t = self.add_row_broadcast(xw, b);
-            return match act {
-                Activation::None => t,
-                Activation::Relu => self.relu(t),
-                Activation::Sigmoid => self.sigmoid(t),
-                Activation::Tanh => self.tanh(t),
-            };
-        }
         let (m, _) = self.shape(x);
         let n = self.shape(w).1;
         let mut out = self.alloc_raw(m, n);
@@ -931,20 +902,13 @@ impl Tape {
     /// `add_row_broadcast` → `cos`. Per element the fused pass computes
     /// `cos((0 + dt·ω_j) + φ_j)` — exactly the k=1 matmul accumulation
     /// followed by the broadcast add and `cos`, so the result is
-    /// bit-identical to the unfused chain (emitted verbatim when fusion is
-    /// off).
+    /// bit-identical to the unfused chain.
     ///
     /// Temporal batches repeat Δt values heavily, so rows are memoized by
     /// Δt bit pattern within the call: a repeated Δt copies the
     /// already-computed row, which is trivially bit-identical because the
     /// row is a function of `(dt, ω, φ)` alone.
     pub fn time_encode_fused(&mut self, dts: &[f32], omega: Var, phase: Var) -> Var {
-        if !crate::fusion::enabled() {
-            let col = self.leaf(Matrix::column(dts));
-            let mm = self.matmul(col, omega);
-            let t = self.add_row_broadcast(mm, phase);
-            return self.cos(t);
-        }
         let n = dts.len();
         let d = self.shape(omega).1;
         let mut out = self.alloc_raw(n, d);

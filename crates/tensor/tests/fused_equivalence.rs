@@ -1,23 +1,17 @@
-//! Bit-for-bit equivalence of the fused tape ops against the unfused
-//! primitive chains they replace.
+//! Bit-for-bit equivalence of the fused tape ops against the primitive
+//! chains they replace.
 //!
-//! `BENCHTEMP_FUSION` is a pure execution-strategy switch: every fused op
-//! computes each output element with the same floating-point operation
-//! order as its unfused composition, so forward values *and* gradients must
-//! match exactly (`f32::to_bits`), not just approximately. These tests pin
-//! that contract across a grid of shapes (1×1, ragged, large), every
-//! activation, and the Δt-memoization fast path.
-//!
-//! `fusion::set_forced` is process-global, so every test flipping it holds
-//! [`FUSION_LOCK`] for its whole body.
-
-use std::sync::Mutex;
+//! Every fused op computes each output element with the same
+//! floating-point operation order as its primitive composition, so forward
+//! values *and* gradients must match exactly (`f32::to_bits`), not just
+//! approximately. Each test builds that primitive chain explicitly as its
+//! reference oracle and pins the contract across a grid of shapes (1×1,
+//! ragged, large), every activation, every attention mask pattern, and the
+//! Δt-memoization fast path.
 
 use benchtemp_tensor::nn::Mlp;
 use benchtemp_tensor::tape::Activation;
-use benchtemp_tensor::{fusion, init, Graph, Matrix, ParamStore, Tape};
-
-static FUSION_LOCK: Mutex<()> = Mutex::new(());
+use benchtemp_tensor::{init, Graph, Matrix, ParamStore, Tape, Var};
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = init::rng(seed);
@@ -35,72 +29,72 @@ const ACTS: [Activation; 4] = [
     Activation::Tanh,
 ];
 
-/// One linear_affine forward+backward; returns (y, dx, dw, db) as bits.
-fn run_linear(
-    fused: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-    act: Activation,
-    seed: u64,
-) -> [Vec<u32>; 4] {
-    fusion::set_forced(Some(fused));
+/// Binds `leaves` on a fresh tape, builds the output with `build`, and runs
+/// `mean_all` → backward. Returns the output followed by each leaf's
+/// gradient, as bits.
+fn run(leaves: Vec<Matrix>, build: impl FnOnce(&mut Tape, &[Var]) -> Var) -> Vec<Vec<u32>> {
     let mut t = Tape::new();
-    let x = t.leaf(mat(m, k, seed));
-    let w = t.leaf(mat(k, n, seed + 1));
-    let b = t.leaf(mat(1, n, seed + 2));
-    let y = t.linear_affine(x, w, b, act);
+    let vars: Vec<Var> = leaves.into_iter().map(|m| t.leaf(m)).collect();
+    let y = build(&mut t, &vars);
     let loss = t.mean_all(y);
     let grads = t.backward(loss);
-    let out = [
-        bits(t.value(y)),
-        bits(grads.get(x).expect("dx")),
-        bits(grads.get(w).expect("dw")),
-        bits(grads.get(b).expect("db")),
-    ];
-    fusion::set_forced(None);
+    let mut out = vec![bits(t.value(y))];
+    out.extend(
+        vars.iter()
+            .map(|&v| bits(grads.get(v).expect("leaf gradient"))),
+    );
     out
+}
+
+/// Reference chain for [`Tape::linear_affine`]: `matmul` →
+/// `add_row_broadcast` → activation.
+fn affine_chain(t: &mut Tape, x: Var, w: Var, b: Var, act: Activation) -> Var {
+    let xw = t.matmul(x, w);
+    let z = t.add_row_broadcast(xw, b);
+    match act {
+        Activation::None => z,
+        Activation::Relu => t.relu(z),
+        Activation::Sigmoid => t.sigmoid(z),
+        Activation::Tanh => t.tanh(z),
+    }
 }
 
 #[test]
 fn linear_affine_matches_unfused_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     // (batch m, in k, out n): degenerate, ragged, and large-enough-to-tile.
     let shapes = [(1, 1, 1), (3, 5, 7), (8, 9, 2), (17, 4, 13), (33, 16, 8)];
     for (i, &(m, k, n)) in shapes.iter().enumerate() {
         for (j, &act) in ACTS.iter().enumerate() {
             let seed = 100 + (i * ACTS.len() + j) as u64 * 3;
-            let unfused = run_linear(false, m, k, n, act, seed);
-            let fused = run_linear(true, m, k, n, act, seed);
+            let leaves = || vec![mat(m, k, seed), mat(k, n, seed + 1), mat(1, n, seed + 2)];
+            let chain = run(leaves(), |t, v| affine_chain(t, v[0], v[1], v[2], act));
+            let fused = run(leaves(), |t, v| t.linear_affine(v[0], v[1], v[2], act));
             assert_eq!(
-                unfused, fused,
+                chain, fused,
                 "linear_affine bits diverged at shape ({m},{k},{n}), act {act:?}"
             );
         }
     }
 }
 
-/// One time_encode forward+backward; returns (y, dω, dφ) as bits.
-fn run_time_encode(fused: bool, dts: &[f32], d: usize, seed: u64) -> [Vec<u32>; 3] {
-    fusion::set_forced(Some(fused));
-    let mut t = Tape::new();
-    let omega = t.leaf(mat(1, d, seed));
-    let phase = t.leaf(mat(1, d, seed + 1));
-    let y = t.time_encode_fused(dts, omega, phase);
-    let loss = t.mean_all(y);
-    let grads = t.backward(loss);
-    let out = [
-        bits(t.value(y)),
-        bits(grads.get(omega).expect("domega")),
-        bits(grads.get(phase).expect("dphase")),
-    ];
-    fusion::set_forced(None);
-    out
+/// Time encoding of `dts` over `(ω, φ)` seeded by `seed`, through the fused
+/// op or its reference chain `leaf(column)` → `matmul` →
+/// `add_row_broadcast` → `cos`. Returns (y, dω, dφ) as bits.
+fn run_time_encode(fused: bool, dts: &[f32], d: usize, seed: u64) -> Vec<Vec<u32>> {
+    run(vec![mat(1, d, seed), mat(1, d, seed + 1)], |t, v| {
+        let (omega, phase) = (v[0], v[1]);
+        if fused {
+            return t.time_encode_fused(dts, omega, phase);
+        }
+        let col = t.leaf(Matrix::column(dts));
+        let mm = t.matmul(col, omega);
+        let z = t.add_row_broadcast(mm, phase);
+        t.cos(z)
+    })
 }
 
 #[test]
 fn time_encode_fused_matches_unfused_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     let mut rng = init::rng(7);
     let distinct: Vec<f32> = init::uniform(33, 1, 0.0, 50.0, &mut rng)
         .as_slice()
@@ -118,10 +112,10 @@ fn time_encode_fused_matches_unfused_bitwise() {
     ];
     for (i, (dts, d)) in cases.iter().enumerate() {
         let seed = 500 + i as u64 * 11;
-        let unfused = run_time_encode(false, dts, *d, seed);
+        let chain = run_time_encode(false, dts, *d, seed);
         let fused = run_time_encode(true, dts, *d, seed);
         assert_eq!(
-            unfused,
+            chain,
             fused,
             "time_encode bits diverged for case {i} (n={}, d={d})",
             dts.len()
@@ -131,7 +125,6 @@ fn time_encode_fused_matches_unfused_bitwise() {
 
 #[test]
 fn time_encode_memo_hits_on_duplicate_dts() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     let dts = vec![1.5f32; 16];
     let before = benchtemp_obs::counters::TIME_ENCODE_MEMO_HITS.get();
     let fused = run_time_encode(true, &dts, 4, 42);
@@ -141,16 +134,13 @@ fn time_encode_memo_hits_on_duplicate_dts() {
         "memo should serve 15 of 16 identical rows (got {} hits)",
         after - before
     );
-    let unfused = run_time_encode(false, &dts, 4, 42);
-    assert_eq!(
-        unfused, fused,
-        "memoized rows diverged from recomputed rows"
-    );
+    let chain = run_time_encode(false, &dts, 4, 42);
+    assert_eq!(chain, fused, "memoized rows diverged from recomputed rows");
 
     // Duplicate-heavy mixed batch — the shape a frontier hop actually
     // produces (a few distinct Δt values, each repeated across slots, plus
     // padding zeros). The memo must fire (counter strictly increases) and
-    // the memoized rows must still match the recomputed path bitwise.
+    // the memoized rows must still match the recomputed chain bitwise.
     let mixed: Vec<f32> = (0..24)
         .map(|i| [0.0f32, 2.75, 0.0, 9.5, 2.75, 0.0][i % 6])
         .collect();
@@ -161,50 +151,42 @@ fn time_encode_memo_hits_on_duplicate_dts() {
         after > before,
         "memo must register hits on a duplicate-heavy mixed batch"
     );
-    let unfused = run_time_encode(false, &mixed, 6, 43);
+    let chain = run_time_encode(false, &mixed, 6, 43);
     assert_eq!(
-        unfused, fused,
+        chain, fused,
         "memoized rows diverged from recomputed rows on the mixed batch"
     );
 }
 
-/// One multi-head grouped attention forward+backward; returns
-/// (y, dq, dk, dv) as bits.
-fn run_mha(
-    fused: bool,
-    n: usize,
+/// Reference chain for [`Tape::multi_head_grouped_attention`]: per head,
+/// `slice_cols` of Q, K and V → `grouped_attention`, then
+/// `concat_cols_many` of the head outputs.
+fn per_head_chain(
+    t: &mut Tape,
+    (q, k, v): (Var, Var, Var),
     heads: usize,
     group: usize,
-    model_dim: usize,
     mask: &[bool],
-    seed: u64,
-) -> [Vec<u32>; 4] {
-    fusion::set_forced(Some(fused));
-    let mut t = Tape::new();
-    let q = t.leaf(mat(n, model_dim, seed));
-    let k = t.leaf(mat(n * group, model_dim, seed + 1));
-    let v = t.leaf(mat(n * group, model_dim, seed + 2));
-    let y = t.multi_head_grouped_attention(q, k, v, heads, group, mask);
-    let loss = t.mean_all(y);
-    let grads = t.backward(loss);
-    let out = [
-        bits(t.value(y)),
-        bits(grads.get(q).expect("dq")),
-        bits(grads.get(k).expect("dk")),
-        bits(grads.get(v).expect("dv")),
-    ];
-    fusion::set_forced(None);
-    out
+) -> Var {
+    let head_dim = t.shape(q).1 / heads;
+    let head_outs: Vec<Var> = (0..heads)
+        .map(|h| {
+            let (lo, hi) = (h * head_dim, (h + 1) * head_dim);
+            let qh = t.slice_cols(q, lo, hi);
+            let kh = t.slice_cols(k, lo, hi);
+            let vh = t.slice_cols(v, lo, hi);
+            t.grouped_attention(qh, kh, vh, group, mask)
+        })
+        .collect();
+    t.concat_cols_many(&head_outs)
 }
 
-/// The fused multi-head node vs the per-head `slice_cols` →
-/// `grouped_attention` → `concat_cols_many` chain it replaces, over a grid
-/// of head counts, group sizes, and mask patterns — including rows whose
-/// every neighbor slot is masked (the all-padded case), which must produce
-/// a zero output row with zero gradient flow in both modes.
+/// The fused multi-head node vs the per-head chain, over a grid of head
+/// counts, group sizes, and mask patterns — including rows whose every
+/// neighbor slot is masked (the all-padded case), which must produce a zero
+/// output row with zero gradient flow on both sides.
 #[test]
 fn multi_head_attention_matches_unfused_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
     // (n, heads, group, model_dim)
     let shapes = [
         (1, 1, 1, 4),
@@ -225,10 +207,21 @@ fn multi_head_attention_matches_unfused_bitwise() {
         let all_masked = vec![false; slots];
         for (j, mask) in [full, partial, row_masked, all_masked].iter().enumerate() {
             let seed = 900 + (i * 4 + j) as u64 * 7;
-            let unfused = run_mha(false, n, heads, group, model_dim, mask, seed);
-            let fused = run_mha(true, n, heads, group, model_dim, mask, seed);
+            let leaves = || {
+                vec![
+                    mat(n, model_dim, seed),
+                    mat(slots, model_dim, seed + 1),
+                    mat(slots, model_dim, seed + 2),
+                ]
+            };
+            let chain = run(leaves(), |t, v| {
+                per_head_chain(t, (v[0], v[1], v[2]), heads, group, mask)
+            });
+            let fused = run(leaves(), |t, v| {
+                t.multi_head_grouped_attention(v[0], v[1], v[2], heads, group, mask)
+            });
             assert_eq!(
-                unfused, fused,
+                chain, fused,
                 "multi-head attention bits diverged at shape \
                  (n={n}, heads={heads}, group={group}, d={model_dim}), mask case {j}"
             );
@@ -236,29 +229,34 @@ fn multi_head_attention_matches_unfused_bitwise() {
     }
 }
 
-/// Full model-shaped check: an MLP through [`Graph`] (param binding, fused
-/// `Linear→ReLU→Linear`, BCE loss) must produce bit-identical loss and
-/// per-parameter gradients with fusion on and off.
+/// Full model-shaped check: [`Mlp::forward`] through [`Graph`] (param
+/// binding, fused `Linear→ReLU→Linear`, BCE loss) must produce bit-identical
+/// loss and per-parameter gradients to the same layers written out as
+/// primitive chains over the same `ParamStore` parameters.
 #[test]
 fn mlp_graph_matches_unfused_bitwise() {
-    let _serial = FUSION_LOCK.lock().unwrap();
-    let run = |fused: bool| {
-        fusion::set_forced(Some(fused));
-        let mut store = ParamStore::new();
-        let mut rng = init::rng(9);
-        let mlp = Mlp::new(&mut store, &mut rng, "eq", 6, 16, 1);
-        let x = mat(10, 6, 77);
-        let targets: Vec<f32> = (0..10).map(|i| (i % 2) as f32).collect();
+    let mut store = ParamStore::new();
+    let mut rng = init::rng(9);
+    let mlp = Mlp::new(&mut store, &mut rng, "eq", 6, 16, 1);
+    let x = mat(10, 6, 77);
+    let targets: Vec<f32> = (0..10).map(|i| (i % 2) as f32).collect();
+    let run_mlp = |fused: bool| {
         let mut g = Graph::new(&store);
         let xv = g.input_from(&x);
-        let logits = mlp.forward(&mut g, xv);
+        let logits = if fused {
+            mlp.forward(&mut g, xv)
+        } else {
+            let (w1, b1) = (g.param(mlp.fc1.w), g.param(mlp.fc1.b));
+            let h = affine_chain(&mut g, xv, w1, b1, Activation::Relu);
+            let (w2, b2) = (g.param(mlp.fc2.w), g.param(mlp.fc2.b));
+            affine_chain(&mut g, h, w2, b2, Activation::None)
+        };
         let loss = g.bce_with_logits(logits, &targets);
         let loss_bits = bits(g.value(loss));
         let grads = g.backward(loss);
         let grad_bits: Vec<(usize, Vec<u32>)> =
             grads.iter().map(|(id, m)| (id.index(), bits(m))).collect();
-        fusion::set_forced(None);
         (loss_bits, grad_bits)
     };
-    assert_eq!(run(false), run(true), "MLP loss/grad bits diverged");
+    assert_eq!(run_mlp(false), run_mlp(true), "MLP loss/grad bits diverged");
 }
