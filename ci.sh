@@ -39,16 +39,12 @@ echo "== ci: tier-1 verify =="
 cargo build --release --offline
 cargo test -q --offline --workspace
 
-echo "== ci: kernel smoke bench =="
+echo "== ci: kernel smoke bench (children at 1 thread, 4 threads, 4 threads + sanitize) =="
 cargo run --release --offline -p benchtemp-bench --bin bench_kernels -- --smoke
 
 echo "== ci: paged store smoke (paged == resident, bounded cache, evictions) =="
 cargo run --release --offline -p benchtemp-bench --bin store_smoke | grep -q STORE_SMOKE_OK \
     || { echo "store smoke failed"; exit 1; }
-
-echo "== ci: sanitize-mode smoke (slot claims + tape checks armed) =="
-BENCHTEMP_SANITIZE=1 \
-    cargo run --release --offline -p benchtemp-bench --bin bench_kernels -- --smoke
 
 echo "== ci: ranking smoke (diagnostics zoo + filtered-negative MRR) =="
 RANK_OUT=$(mktemp -d /tmp/benchtemp-ci-rank.XXXXXX)

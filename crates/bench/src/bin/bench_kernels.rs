@@ -6,13 +6,18 @@
 //! contracts along the way: eval metrics and frontier samples must be
 //! bit-identical at any thread count.
 //!
-//! The pool reads `BENCHTEMP_THREADS` once per process, so each thread
-//! count runs in a child process (this same binary, re-invoked with
-//! `BENCHTEMP_KERNELS_CHILD=1`). The parent merges the child reports into
-//! `BENCH_kernels.json`. Pass `--smoke` for a reduced-size run (used by
-//! `ci.sh`) that executes every kernel and assertion but skips the JSON.
+//! The pool reads `BENCHTEMP_THREADS` once per process, so every
+//! measurement runs in the three child processes of the
+//! `benchtemp_util::child` harness (1 thread, 4 threads, 4 threads +
+//! sanitize). Each child reports one JSON object; the parent asserts the
+//! [`DIGEST_KEYS`] agree across the arms, prints the merged report, and
+//! writes it to `BENCH_kernels.json`. Pass `--smoke` for a reduced-size run
+//! (used by `ci.sh`) that executes every kernel and assertion but skips
+//! writing the file.
 
-use std::process::Command;
+// The flat child report is one `json!` literal; its token muncher recurses
+// once per token.
+#![recursion_limit = "512"]
 
 use benchtemp_bench::{save_json, timing};
 use benchtemp_core::dataloader::LinkPredSplit;
@@ -33,7 +38,8 @@ use benchtemp_obs as obs;
 use benchtemp_tensor::init::SeededRng;
 use benchtemp_tensor::nn::Mlp;
 use benchtemp_tensor::{init, pool, Graph, Matrix, ParamStore};
-use benchtemp_util::json;
+use benchtemp_util::child::{self, Fnv1a};
+use benchtemp_util::{json, Json};
 
 const NODE_DIM: usize = 32;
 const HIDDEN: usize = 96;
@@ -265,8 +271,10 @@ impl SamplingWorkload {
         total
     }
 
-    fn frontier_pass(&self) -> Frontier {
-        self.nf.sample_frontier(
+    /// The two-hop Uniform frontier over the root set through `nb`: the
+    /// same roots, depth, strategy and seed on every backend.
+    fn frontier_pass(&self, nb: NeighborBackend) -> Frontier {
+        nb.sample_frontier(
             &self.roots,
             &self.root_times,
             SAMPLE_K,
@@ -276,92 +284,42 @@ impl SamplingWorkload {
         )
     }
 
-    /// The mixed-strategy pass through the paged backend — same queries,
-    /// same RNG seed, so the samples must match [`Self::csr_pass`] bit
-    /// for bit no matter how small the page-cache budget is.
-    fn paged_pass(
+    /// The pass over every query through `nb`, cycling through `strats`
+    /// and handing each query's samples to `visit`. Same queries, same RNG
+    /// seed on every backend, so the samples must match bit for bit no
+    /// matter how small the page-cache budget is.
+    fn backend_pass(
         &self,
-        paged: &PagedNeighborFinder,
+        nb: NeighborBackend,
         strats: &[SamplingStrategy],
         scratch: &mut BackendScratch,
         out: &mut Vec<NeighborEvent>,
+        mut visit: impl FnMut(&[NeighborEvent]),
     ) -> usize {
         let mut rng = init::rng(9);
         let mut total = 0usize;
         for (i, &(node, t)) in self.queries.iter().enumerate() {
             let strategy = strats[i % strats.len()];
-            paged.sample_into(node, t, SAMPLE_K, strategy, &mut rng, scratch, out);
+            nb.sample_into(node, t, SAMPLE_K, strategy, &mut rng, scratch, out);
+            visit(out);
             total += out.len();
         }
         total
     }
 
-    /// FNV-1a fold over every sample the mixed pass draws through the
-    /// resident CSR engine: neighbor, timestamp bits, event index.
-    fn csr_digest(&self, strats: &[SamplingStrategy]) -> u64 {
-        let mut rng = init::rng(9);
-        let mut scratch = SampleScratch::new();
-        let mut out = Vec::new();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (i, &(node, t)) in self.queries.iter().enumerate() {
-            let strategy = strats[i % strats.len()];
-            self.nf.sample_into(
-                node,
-                t,
-                SAMPLE_K,
-                strategy,
-                &mut rng,
-                &mut scratch,
-                &mut out,
-            );
-            for e in &out {
-                h = fnv1a(
-                    fnv1a(fnv1a(h, e.neighbor as u64), e.t.to_bits()),
-                    e.event_idx as u64,
-                );
+    /// FNV-1a over every sample the mixed pass draws through `nb`:
+    /// neighbor, timestamp bits, event index.
+    fn digest(&self, nb: NeighborBackend, strats: &[SamplingStrategy]) -> u64 {
+        let mut h = Fnv1a::new();
+        let (mut scratch, mut out) = (BackendScratch::new(), Vec::new());
+        self.backend_pass(nb, strats, &mut scratch, &mut out, |samples| {
+            for e in samples {
+                h.write_u64(e.neighbor as u64);
+                h.write_f64(e.t);
+                h.write_u64(e.event_idx as u64);
             }
-        }
-        h
-    }
-
-    /// The same digest drawn through the paged backend.
-    fn paged_digest(&self, paged: &PagedNeighborFinder, strats: &[SamplingStrategy]) -> u64 {
-        let mut rng = init::rng(9);
-        let mut scratch = BackendScratch::new();
-        let mut out = Vec::new();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for (i, &(node, t)) in self.queries.iter().enumerate() {
-            let strategy = strats[i % strats.len()];
-            paged.sample_into(
-                node,
-                t,
-                SAMPLE_K,
-                strategy,
-                &mut rng,
-                &mut scratch,
-                &mut out,
-            );
-            for e in &out {
-                h = fnv1a(
-                    fnv1a(fnv1a(h, e.neighbor as u64), e.t.to_bits()),
-                    e.event_idx as u64,
-                );
-            }
-        }
-        h
-    }
-
-    /// [`Self::frontier_pass`] through the paged backend (same roots,
-    /// depth, strategy, and seed).
-    fn paged_frontier_pass(&self, paged: &PagedNeighborFinder) -> Frontier {
-        paged.sample_frontier(
-            &self.roots,
-            &self.root_times,
-            SAMPLE_K,
-            2,
-            SamplingStrategy::Uniform,
-            77,
-        )
+        });
+        h.finish()
     }
 }
 
@@ -472,46 +430,37 @@ impl TrainStepWorkload {
     }
 }
 
-fn fnv1a(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// FNV-1a fold over every column of every hop level: any divergence in the
+/// FNV-1a over every column of every hop level: any divergence in the
 /// sampled nodes, times, deltas, event indices, feature rows, or masks
-/// changes the hash.
-fn frontier_hash(f: &Frontier) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+/// changes the digest.
+fn frontier_digest(f: &Frontier) -> u64 {
+    let mut h = Fnv1a::new();
     for hop in &f.hops {
         for &n in &hop.nodes {
-            fold(n as u64);
+            h.write_u64(n as u64);
         }
         for &t in &hop.times {
-            fold(t.to_bits());
+            h.write_f64(t);
         }
         for &d in &hop.dts {
-            fold(d.to_bits() as u64);
+            h.write_f32(d);
         }
         for &e in &hop.event_idx {
-            fold(e as u64);
+            h.write_u64(e as u64);
         }
         for &fi in &hop.feat_idx {
-            fold(fi as u64);
+            h.write_u64(fi as u64);
         }
         for &m in &hop.mask {
-            fold(m as u64);
+            h.write(&[m as u8]);
         }
     }
-    h
+    h.finish()
 }
 
 /// The seed repository's frontier feature gather, verbatim in spirit: a
 /// fresh zeroed output and one per-element indexed copy loop — the pattern
-/// the models used before the SoA gather path (and the pattern the
-/// `no-scalar-gather-in-hot-path` audit rule now rejects there).
+/// the models used before the SoA gather path.
 fn seed_scalar_gather(src: &Matrix, indices: &[usize], out: &mut Matrix) {
     for (r, &i) in indices.iter().enumerate() {
         for c in 0..src.cols() {
@@ -520,14 +469,14 @@ fn seed_scalar_gather(src: &Matrix, indices: &[usize], out: &mut Matrix) {
     }
 }
 
-fn matrix_hash(m: &Matrix) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+fn matrix_digest(m: &Matrix) -> u64 {
+    let mut h = Fnv1a::new();
     for r in 0..m.rows() {
         for &x in m.row(r) {
-            h = fnv1a(h, x.to_bits() as u64);
+            h.write_f32(x);
         }
     }
-    h
+    h.finish()
 }
 
 /// Score every (src, dst) pair through a fixed MLP — the eval hot path:
@@ -586,7 +535,7 @@ impl EvalWorkload {
     }
 }
 
-/// Child-process body: print one `KCHILD` line with all measurements.
+/// Child-process body: report every measurement as one JSON object.
 fn run_child(smoke: bool) {
     let mm = if smoke { 128 } else { 256 };
     let mut rng = init::rng(1);
@@ -609,6 +558,7 @@ fn run_child(smoke: bool) {
     // alongside; it is bounded by work both layouts share bit-for-bit
     // (libm `exp`, the RNG draws).
     let sw = SamplingWorkload::new(smoke);
+    let resident = NeighborBackend::Resident(&sw.nf);
     let safe = [SamplingStrategy::TemporalSafe];
     let samples_per_pass = sw.seed_pass(&safe);
     let mixed_samples = sw.seed_pass(&SAMPLE_STRATS);
@@ -626,26 +576,9 @@ fn run_child(smoke: bool) {
     let mixed_csr_ns = timing::measure(&mut || {
         std::hint::black_box(sw.csr_pass(&SAMPLE_STRATS, &mut scratch, &mut out))
     });
-
-    // Optional per-strategy breakdown for tuning (diagnostic only; the
-    // parent ignores non-KCHILD lines).
-    if std::env::var("BENCHTEMP_KERNELS_PER_STRAT").is_ok() {
-        let names = ["most_recent", "uniform", "temporal_exp", "temporal_safe"];
-        for (name, strat) in names.iter().zip(SAMPLE_STRATS) {
-            let one = [strat];
-            let s = timing::measure(&mut || std::hint::black_box(sw.seed_pass(&one)));
-            let c = timing::measure(&mut || {
-                std::hint::black_box(sw.csr_pass(&one, &mut scratch, &mut out))
-            });
-            eprintln!(
-                "strat {name}: seed {s:.0} ns -> csr {c:.0} ns ({:.2}x)",
-                s / c
-            );
-        }
-    }
-    let fhash = frontier_hash(&sw.frontier_pass());
-    let frontier_ns = timing::measure(&mut || std::hint::black_box(sw.frontier_pass()));
-    let f = sw.frontier_pass();
+    let fhash = frontier_digest(&sw.frontier_pass(resident));
+    let frontier_ns = timing::measure(&mut || std::hint::black_box(sw.frontier_pass(resident)));
+    let f = sw.frontier_pass(resident);
     let frontier_slots: usize = f.hops.iter().map(|h| h.len()).sum();
 
     // SoA frontier gather (DESIGN.md §13): materialize the hop-1 slot
@@ -668,14 +601,14 @@ fn run_child(smoke: bool) {
     let perrow_out = gather_src.gather_rows(gather_idx);
     let mut coalesced_out = Matrix::zeros(gather_idx.len(), gather_dim);
     let gather_runs = gather_src.gather_rows_into(gather_idx, &mut coalesced_out);
-    let ghash = matrix_hash(&coalesced_out);
+    let ghash = matrix_digest(&coalesced_out);
     assert_eq!(
-        matrix_hash(&scalar_out),
+        matrix_digest(&scalar_out),
         ghash,
         "coalesced gather must match the scalar loop byte-for-byte"
     );
     assert_eq!(
-        matrix_hash(&perrow_out),
+        matrix_digest(&perrow_out),
         ghash,
         "coalesced gather must match the per-row gather byte-for-byte"
     );
@@ -745,12 +678,12 @@ fn run_child(smoke: bool) {
     };
 
     // Fused tape engine (DESIGN.md §11): `train_batch` on TGAT and TGN. The
-    // per-step loss trajectory is hashed so the parent can assert it does
-    // not depend on the thread count (the fused backward runs on the
+    // per-step loss trajectory is digested so the parent can assert it
+    // does not depend on the thread count (the fused backward runs on the
     // slab-parallel claims protocol). Timing only in the single-thread
     // child.
     let ts = TrainStepWorkload::new(smoke);
-    let mut ts_traj_hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut ts_traj = Fnv1a::new();
     let mut ts_ns = [0.0f64; 2]; // [tgat, tgn]
     let mut ts_att_share = 0.0f64; // TGAT attention share of dense
     for (mi, name) in ["TGAT", "TGN"].iter().enumerate() {
@@ -762,13 +695,13 @@ fn run_child(smoke: bool) {
             }
         }
         for &b in &traj {
-            ts_traj_hash = fnv1a(ts_traj_hash, b as u64);
+            ts_traj.write(&b.to_le_bytes());
         }
     }
 
     // Filtered-negative ranking (DESIGN.md §14): candidate-set construction
     // throughput plus the metric kernel over deterministic scores. The
-    // digest and MRR bits ride along in the KCHILD line so the parent can
+    // digest and MRR bits ride along in the report so the parent can
     // assert the cross-thread / cross-process determinism contract on the
     // exact artifacts the leaderboard consumes.
     let rank_k = if smoke { 10 } else { 20 };
@@ -784,7 +717,6 @@ fn run_child(smoke: bool) {
         )
     };
     let rank_set = rank_build();
-    let rank_digest = rank_set.digest();
     let rank_queries = rank_set.len();
     let rank_build_ns = timing::measure(&mut || std::hint::black_box(rank_build()));
     let rank_pos: Vec<f32> = (0..rank_queries)
@@ -818,24 +750,28 @@ fn run_child(smoke: bool) {
     let paged_tiny = PagedNeighborFinder::bulk_load_graph(&store_base, &sw.graph, &tiny_opts)
         .expect("bulk-load sampling graph");
     let store_bulk_ns = bulk_start.elapsed().as_secs_f64() * 1e9;
-    let store_events = sw.graph.events.len() as f64;
+    let tiny = NeighborBackend::Paged(&paged_tiny);
 
-    let resident_digest = sw.csr_digest(&SAMPLE_STRATS);
     let ev0 = obs::counters::STORE_PAGE_EVICTIONS.get();
-    let paged_digest = sw.paged_digest(&paged_tiny, &SAMPLE_STRATS);
+    let paged_digest = sw.digest(tiny, &SAMPLE_STRATS);
     let store_evictions = obs::counters::STORE_PAGE_EVICTIONS.get() - ev0;
+    assert!(
+        store_evictions > 0,
+        "the 64 KiB page-cache budget must evict during the mixed pass"
+    );
     assert_eq!(
-        resident_digest, paged_digest,
+        sw.digest(resident, &SAMPLE_STRATS),
+        paged_digest,
         "paged mixed-strategy samples must be bit-identical to the resident CSR engine"
     );
-    let paged_fhash = frontier_hash(&sw.paged_frontier_pass(&paged_tiny));
+    let paged_fhash = frontier_digest(&sw.frontier_pass(tiny));
     assert_eq!(
         fhash, paged_fhash,
         "paged frontier must be bit-identical to the resident frontier"
     );
     let mut bscratch = BackendScratch::default();
     let store_tiny_ns = timing::measure(&mut || {
-        std::hint::black_box(sw.paged_pass(&paged_tiny, &safe, &mut bscratch, &mut out))
+        std::hint::black_box(sw.backend_pass(tiny, &safe, &mut bscratch, &mut out, |_| ()))
     });
     // Reopen the same files with an effectively-unbounded budget: the
     // cold pass faults every page once, then serves from memory — the
@@ -845,437 +781,187 @@ fn run_child(smoke: bool) {
         run_events: 4096,
     };
     let paged_big = PagedNeighborFinder::open(&store_base, &big_opts).expect("reopen store");
+    let big = NeighborBackend::Paged(&paged_big);
     let store_big_ns = timing::measure(&mut || {
-        std::hint::black_box(sw.paged_pass(&paged_big, &safe, &mut bscratch, &mut out))
+        std::hint::black_box(sw.backend_pass(big, &safe, &mut bscratch, &mut out, |_| ()))
     });
-    let store_cache_bytes = paged_tiny.cache_resident_bytes() as f64;
+    let store_cache_bytes = paged_tiny.cache_resident_bytes();
     drop((paged_tiny, paged_big));
     let _ = std::fs::remove_dir_all(&store_base);
 
-    println!(
-        "KCHILD threads {} seed_ns {} kernel_ns {} events_per_sec {} auc {:016x} ap {:016x} \
-         rank_queries {} rank_k {} rank_build_ns {} rank_metric_ns {} rank_digest {:016x} \
-         rank_mrr {:016x} \
-         sample_seed_ns {} sample_csr_ns {} samples_per_pass {} mixed_seed_ns {} \
-         mixed_csr_ns {} mixed_samples {} frontier_ns {} frontier_slots {} frontier_hash {:016x} \
-         gather_rows {} gather_runs {} gather_scalar_ns {} gather_perrow_ns {} \
-         gather_coalesced_ns {} gather_hash {:016x} \
-         trace_plain_ns {} trace_inert_ns {} trace_rec_ns {} trace_on_ns {} \
-         pass_ns {} san_off_ns {} san_on_ns {} \
-         ts_tgat_ns {} ts_tgn_ns {} ts_tgat_att_share {} ts_traj_hash {:016x} \
-         store_bulk_ns {} store_events {} store_tiny_ns {} store_big_ns {} \
-         store_evictions {} store_cache_bytes {} store_digest {:016x} \
-         store_frontier_hash {:016x}",
-        pool().threads(),
-        seed_ns,
-        kernel_ns,
-        events_per_sec,
-        auc.to_bits(),
-        ap.to_bits(),
-        rank_queries,
-        rank_k,
-        rank_build_ns,
-        rank_metric_ns,
-        rank_digest,
-        rank_metrics.mrr.to_bits(),
-        sample_seed_ns,
-        sample_csr_ns,
-        samples_per_pass,
-        mixed_seed_ns,
-        mixed_csr_ns,
-        mixed_samples,
-        frontier_ns,
-        frontier_slots,
-        fhash,
-        gather_idx.len(),
-        gather_runs,
-        gather_scalar_ns,
-        gather_perrow_ns,
-        gather_coalesced_ns,
-        ghash,
-        trace_plain_ns,
-        trace_inert_ns,
-        trace_rec_ns,
-        trace_on_ns,
-        pass_ns,
-        san_off_ns,
-        san_on_ns,
-        ts_ns[0],
-        ts_ns[1],
-        ts_att_share,
-        ts_traj_hash,
-        store_bulk_ns,
-        store_events,
-        store_tiny_ns,
-        store_big_ns,
-        store_evictions,
-        store_cache_bytes,
-        paged_digest,
-        paged_fhash
-    );
+    let hex = |x: u64| format!("{x:016x}");
+    child::report(json!({
+        "threads": pool().threads(),
+        "seed_ns": seed_ns,
+        "kernel_ns": kernel_ns,
+        "events_per_sec": events_per_sec,
+        "auc": hex(auc.to_bits()),
+        "ap": hex(ap.to_bits()),
+        "rank_queries": rank_queries,
+        "rank_k": rank_k,
+        "rank_build_ns": rank_build_ns,
+        "rank_metric_ns": rank_metric_ns,
+        "rank_digest": hex(rank_set.digest()),
+        "rank_mrr": hex(rank_metrics.mrr.to_bits()),
+        "sample_seed_ns": sample_seed_ns,
+        "sample_csr_ns": sample_csr_ns,
+        "samples_per_pass": samples_per_pass,
+        "mixed_seed_ns": mixed_seed_ns,
+        "mixed_csr_ns": mixed_csr_ns,
+        "mixed_samples": mixed_samples,
+        "frontier_ns": frontier_ns,
+        "frontier_slots": frontier_slots,
+        "frontier_hash": hex(fhash),
+        "gather_rows": gather_idx.len(),
+        "gather_runs": gather_runs,
+        "gather_scalar_ns": gather_scalar_ns,
+        "gather_perrow_ns": gather_perrow_ns,
+        "gather_coalesced_ns": gather_coalesced_ns,
+        "gather_hash": hex(ghash),
+        "trace_plain_ns": trace_plain_ns,
+        "trace_inert_ns": trace_inert_ns,
+        "trace_rec_ns": trace_rec_ns,
+        "trace_on_ns": trace_on_ns,
+        "pass_ns": pass_ns,
+        "san_off_ns": san_off_ns,
+        "san_on_ns": san_on_ns,
+        "ts_tgat_ns": ts_ns[0],
+        "ts_tgn_ns": ts_ns[1],
+        "ts_tgat_att_share": ts_att_share,
+        "ts_traj_hash": hex(ts_traj.finish()),
+        "store_bulk_ns": store_bulk_ns,
+        "store_events": sw.graph.events.len(),
+        "store_tiny_ns": store_tiny_ns,
+        "store_big_ns": store_big_ns,
+        "store_evictions": store_evictions,
+        "store_cache_bytes": store_cache_bytes,
+        "store_digest": hex(paged_digest),
+        "store_frontier_hash": hex(paged_fhash),
+    }));
 }
 
-#[derive(Debug)]
-struct ChildReport {
-    threads: usize,
-    seed_ns: f64,
-    kernel_ns: f64,
-    events_per_sec: f64,
-    auc_bits: String,
-    ap_bits: String,
-    rank_queries: f64,
-    rank_k: f64,
-    rank_build_ns: f64,
-    rank_metric_ns: f64,
-    rank_digest: String,
-    rank_mrr: String,
-    sample_seed_ns: f64,
-    sample_csr_ns: f64,
-    samples_per_pass: f64,
-    mixed_seed_ns: f64,
-    mixed_csr_ns: f64,
-    mixed_samples: f64,
-    frontier_ns: f64,
-    frontier_slots: f64,
-    frontier_hash: String,
-    gather_rows: f64,
-    gather_runs: f64,
-    gather_scalar_ns: f64,
-    gather_perrow_ns: f64,
-    gather_coalesced_ns: f64,
-    gather_hash: String,
-    trace_plain_ns: f64,
-    trace_inert_ns: f64,
-    trace_rec_ns: f64,
-    trace_on_ns: f64,
-    pass_ns: f64,
-    san_off_ns: f64,
-    san_on_ns: f64,
-    ts_tgat_ns: f64,
-    ts_tgn_ns: f64,
-    ts_tgat_att_share: f64,
-    ts_traj_hash: String,
-    store_bulk_ns: f64,
-    store_events: f64,
-    store_tiny_ns: f64,
-    store_big_ns: f64,
-    store_evictions: f64,
-    store_cache_bytes: f64,
-    store_digest: String,
-    store_frontier_hash: String,
-}
+/// Child-report keys that must be bit-identical in every arm: eval
+/// metrics, ranking artifacts, frontier and gather output (and the
+/// gather's run count, a pure function of the index list), the paged
+/// backend's samples and frontier under independent eviction schedules,
+/// and the training loss trajectory.
+const DIGEST_KEYS: [&str; 10] = [
+    "auc",
+    "ap",
+    "rank_digest",
+    "rank_mrr",
+    "frontier_hash",
+    "gather_hash",
+    "gather_runs",
+    "store_digest",
+    "store_frontier_hash",
+    "ts_traj_hash",
+];
 
-fn spawn_child(threads: usize, smoke: bool) -> ChildReport {
-    let exe = std::env::current_exe().expect("current exe");
-    let mut cmd = Command::new(exe);
-    cmd.env("BENCHTEMP_KERNELS_CHILD", "1")
-        .env("BENCHTEMP_THREADS", threads.to_string());
-    if smoke {
-        cmd.arg("--smoke");
-    }
-    let out = cmd.output().expect("spawn bench child");
-    assert!(
-        out.status.success(),
-        "child with BENCHTEMP_THREADS={threads} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("KCHILD "))
-        .unwrap_or_else(|| panic!("no KCHILD line from child:\n{stdout}"));
-    let f: Vec<&str> = line.split_whitespace().collect();
-    let field = |key: &str| {
-        f.iter()
-            .position(|&w| w == key)
-            .map(|i| f[i + 1].to_string())
-            .unwrap_or_else(|| panic!("missing {key} in: {line}"))
+/// Record a speedup target under `key` with whether it binds on this run
+/// (`{key}_applies`) and, when it does not, why (`{key}_skip_reason`) — a
+/// skipped target is reported with its reason, never as a vacuous miss.
+fn gate(section: &mut Json, key: &str, target: f64, skip_reason: Option<String>) {
+    let Json::Obj(pairs) = section else {
+        panic!("gate on a non-object section")
     };
-    ChildReport {
-        threads: field("threads").parse().unwrap(),
-        seed_ns: field("seed_ns").parse().unwrap(),
-        kernel_ns: field("kernel_ns").parse().unwrap(),
-        events_per_sec: field("events_per_sec").parse().unwrap(),
-        auc_bits: field("auc"),
-        ap_bits: field("ap"),
-        rank_queries: field("rank_queries").parse().unwrap(),
-        rank_k: field("rank_k").parse().unwrap(),
-        rank_build_ns: field("rank_build_ns").parse().unwrap(),
-        rank_metric_ns: field("rank_metric_ns").parse().unwrap(),
-        rank_digest: field("rank_digest"),
-        rank_mrr: field("rank_mrr"),
-        sample_seed_ns: field("sample_seed_ns").parse().unwrap(),
-        sample_csr_ns: field("sample_csr_ns").parse().unwrap(),
-        samples_per_pass: field("samples_per_pass").parse().unwrap(),
-        mixed_seed_ns: field("mixed_seed_ns").parse().unwrap(),
-        mixed_csr_ns: field("mixed_csr_ns").parse().unwrap(),
-        mixed_samples: field("mixed_samples").parse().unwrap(),
-        frontier_ns: field("frontier_ns").parse().unwrap(),
-        frontier_slots: field("frontier_slots").parse().unwrap(),
-        frontier_hash: field("frontier_hash"),
-        gather_rows: field("gather_rows").parse().unwrap(),
-        gather_runs: field("gather_runs").parse().unwrap(),
-        gather_scalar_ns: field("gather_scalar_ns").parse().unwrap(),
-        gather_perrow_ns: field("gather_perrow_ns").parse().unwrap(),
-        gather_coalesced_ns: field("gather_coalesced_ns").parse().unwrap(),
-        gather_hash: field("gather_hash"),
-        trace_plain_ns: field("trace_plain_ns").parse().unwrap(),
-        trace_inert_ns: field("trace_inert_ns").parse().unwrap(),
-        trace_rec_ns: field("trace_rec_ns").parse().unwrap(),
-        trace_on_ns: field("trace_on_ns").parse().unwrap(),
-        pass_ns: field("pass_ns").parse().unwrap(),
-        san_off_ns: field("san_off_ns").parse().unwrap(),
-        san_on_ns: field("san_on_ns").parse().unwrap(),
-        ts_tgat_ns: field("ts_tgat_ns").parse().unwrap(),
-        ts_tgn_ns: field("ts_tgn_ns").parse().unwrap(),
-        ts_tgat_att_share: field("ts_tgat_att_share").parse().unwrap(),
-        ts_traj_hash: field("ts_traj_hash"),
-        store_bulk_ns: field("store_bulk_ns").parse().unwrap(),
-        store_events: field("store_events").parse().unwrap(),
-        store_tiny_ns: field("store_tiny_ns").parse().unwrap(),
-        store_big_ns: field("store_big_ns").parse().unwrap(),
-        store_evictions: field("store_evictions").parse().unwrap(),
-        store_cache_bytes: field("store_cache_bytes").parse().unwrap(),
-        store_digest: field("store_digest"),
-        store_frontier_hash: field("store_frontier_hash"),
-    }
+    pairs.push((key.to_string(), json!(target)));
+    pairs.push((format!("{key}_applies"), json!(skip_reason.is_none())));
+    pairs.push((format!("{key}_skip_reason"), json!(skip_reason)));
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    if std::env::var("BENCHTEMP_KERNELS_CHILD").is_ok() {
+    if child::is_child() {
         run_child(smoke);
         return;
     }
 
-    println!("== Kernel throughput: seed baseline vs register-blocked parallel runtime ==");
-    let single = spawn_child(1, smoke);
-    let multi = spawn_child(4, smoke);
-
-    // The runtime contract: metrics must not depend on the thread count.
-    assert_eq!(
-        (&single.auc_bits, &single.ap_bits),
-        (&multi.auc_bits, &multi.ap_bits),
-        "eval metrics must be bit-identical across thread counts"
-    );
-    // Same contract for the sampling engine: the frontier is seeded per
-    // root, so its output must not depend on the thread count either.
-    assert_eq!(
-        single.frontier_hash, multi.frontier_hash,
-        "frontier samples must be bit-identical across thread counts"
-    );
-    // And for the coalesced gather, which fans its runs across the pool.
-    assert_eq!(
-        single.gather_hash, multi.gather_hash,
-        "coalesced gather output must be bit-identical across thread counts"
-    );
-    // Run-length coalescing is a pure function of the index list — the
-    // chunk arithmetic must not reach the counter either.
-    assert_eq!(
-        single.gather_runs, multi.gather_runs,
-        "coalesced run count must not depend on the thread count"
-    );
-    // The paged store backend asserted bit-identity against the resident
-    // engine inside each child; across children it must also agree with
-    // itself — different thread counts, different processes, and
-    // independent eviction schedules at the 64 KiB budget.
-    assert_eq!(
-        single.store_digest, multi.store_digest,
-        "paged samples must be bit-identical across thread counts"
-    );
-    assert_eq!(
-        single.store_frontier_hash, multi.store_frontier_hash,
-        "paged frontier must be bit-identical across thread counts"
-    );
-    assert_eq!(
-        single.store_frontier_hash, single.frontier_hash,
-        "paged frontier hash must equal the resident frontier hash"
-    );
-    assert!(
-        single.store_evictions > 0.0,
-        "the 64 KiB page-cache budget must evict during the mixed pass"
-    );
+    let args: &[&str] = if smoke { &["--smoke"] } else { &[] };
+    let reports: Vec<Json> = child::run_arms(args)
+        .iter()
+        .map(|p| json::parse(p).expect("child report is JSON"))
+        .collect();
+    // The runtime contract: nothing a leaderboard consumes may depend on
+    // the thread count, the process, or the sanitizer.
+    for key in DIGEST_KEYS {
+        let values: Vec<&Json> = reports
+            .iter()
+            .map(|r| {
+                r.get(key)
+                    .unwrap_or_else(|| panic!("child report lacks `{key}`"))
+            })
+            .collect();
+        child::assert_arms_agree(key, &values);
+    }
+    let field = |arm: usize, key: &str| {
+        reports[arm]
+            .get(key)
+            .and_then(Json::as_f64)
+            .unwrap_or_else(|| panic!("child report lacks numeric `{key}`"))
+    };
+    let single = |key: &str| field(0, key);
+    let multi = |key: &str| field(1, key);
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let matmul_speedup = single.seed_ns / single.kernel_ns;
-    let eval_speedup = multi.events_per_sec / single.events_per_sec;
+    let threads = [single("threads"), multi("threads")];
     // The 4-thread eval throughput target only binds when the host can
     // actually run 4 workers in parallel; on a smaller machine the ratio
-    // measures oversubscription, not the runtime, so the gate is skipped
-    // with the reason recorded rather than reported as a vacuous miss.
-    let eval_target_applies = host_cores >= multi.threads;
-    let eval_skip_reason = (!eval_target_applies).then(|| {
-        format!(
-            "host has {host_cores} core(s) < {} benchmark threads; \
-             multi-thread speedup not meaningful",
-            multi.threads
-        )
+    // measures oversubscription, not the runtime.
+    let mut eval = json!({
+        "events_per_sec_1_thread": single("events_per_sec"),
+        "events_per_sec_4_threads": multi("events_per_sec"),
+        "speedup": multi("events_per_sec") / single("events_per_sec"),
+        "threads": threads.as_slice(),
+        "metrics_bit_identical": true,
     });
-    println!(
-        "matmul (1 thread): seed {:.0} ns -> kernel {:.0} ns  ({matmul_speedup:.2}x)",
-        single.seed_ns, single.kernel_ns
-    );
-    println!("matmul (4 threads): kernel {:.0} ns", multi.kernel_ns);
-    match &eval_skip_reason {
-        None => println!(
-            "eval throughput: {:.0} ev/s (1 thread) -> {:.0} ev/s (4 threads)  ({eval_speedup:.2}x)",
-            single.events_per_sec, multi.events_per_sec
-        ),
-        Some(reason) => println!(
-            "eval throughput: {:.0} ev/s (1 thread) -> {:.0} ev/s (4 threads)  \
-             (speedup target skipped: {reason})",
-            single.events_per_sec, multi.events_per_sec
-        ),
-    }
-    println!(
-        "metrics bit-identical across thread counts: auc {} ap {}",
-        single.auc_bits, single.ap_bits
+    gate(
+        &mut eval,
+        "speedup_target",
+        1.5,
+        (host_cores < threads[1] as usize).then(|| {
+            format!(
+                "host has {host_cores} core(s) < {} benchmark threads; \
+                 multi-thread speedup not meaningful",
+                threads[1]
+            )
+        }),
     );
 
-    // Filtered-negative ranking: the candidate sets and the MRR computed
-    // from them are leaderboard artifacts — they must be bit-identical at
-    // any thread count (each child is its own process, so this is also the
-    // cross-process witness).
-    assert_eq!(
-        (&single.rank_digest, &single.rank_mrr),
-        (&multi.rank_digest, &multi.rank_mrr),
-        "filtered-negative candidate sets / MRR must not depend on the thread count"
-    );
-    let rank_build_qps = single.rank_queries / (single.rank_build_ns / 1e9);
-    let rank_metric_qps = single.rank_queries / (single.rank_metric_ns / 1e9);
-    println!(
-        "filtered-negative ranking (1 thread, K={:.0}): candidate-set build \
-         {rank_build_qps:.0} queries/s, MRR/Hits kernel {rank_metric_qps:.0} queries/s",
-        single.rank_k
-    );
-    println!(
-        "ranking bit-identical across thread counts and processes: digest {} mrr {}",
-        single.rank_digest, single.rank_mrr
-    );
+    let samples_per_pass = single("samples_per_pass");
+    let resident_sps = samples_per_pass / (single("sample_csr_ns") / 1e9);
 
-    let seed_sps = single.samples_per_pass / (single.sample_seed_ns / 1e9);
-    let csr_sps = single.samples_per_pass / (single.sample_csr_ns / 1e9);
-    let sampling_speedup = single.sample_seed_ns / single.sample_csr_ns;
-    let mixed_speedup = single.mixed_seed_ns / single.mixed_csr_ns;
-    let mixed_csr_sps = single.mixed_samples / (single.mixed_csr_ns / 1e9);
-    let frontier_sps_1 = single.frontier_slots / (single.frontier_ns / 1e9);
-    let frontier_sps_4 = multi.frontier_slots / (multi.frontier_ns / 1e9);
-    println!(
-        "neighbor sampling, TemporalSafe (1 thread): seed layout {seed_sps:.0} samples/s -> \
-         CSR {csr_sps:.0} samples/s  ({sampling_speedup:.2}x)"
-    );
-    println!(
-        "neighbor sampling, all-strategies mix (1 thread): CSR {mixed_csr_sps:.0} samples/s  \
-         ({mixed_speedup:.2}x)"
-    );
-    println!(
-        "frontier expansion: {frontier_sps_1:.0} slots/s (1 thread) -> \
-         {frontier_sps_4:.0} slots/s (4 threads)"
-    );
-    println!(
-        "frontier bit-identical across thread counts: hash {}",
-        single.frontier_hash
-    );
-
-    let gather_rows = single.gather_rows;
-    let gather_scalar_rps = gather_rows / (single.gather_scalar_ns / 1e9);
-    let gather_perrow_rps = gather_rows / (single.gather_perrow_ns / 1e9);
-    let gather_coalesced_rps = gather_rows / (single.gather_coalesced_ns / 1e9);
-    let gather_speedup = single.gather_scalar_ns / single.gather_coalesced_ns;
     // The 2.0x coalesced-vs-scalar target assumes the hop-1 slot list
     // actually coalesces into multi-row runs (average run length >= 2 —
     // the regime DESIGN.md §13 calibrated the target in). The sampling
     // workload here spreads slots across distinct sources (~1.3 rows per
     // run), where the coalesced kernel degenerates to per-row copies plus
-    // run bookkeeping and 2.0x is unreachable by construction. Mirror the
-    // eval-throughput gate: record the target with an explicit
-    // applies/skip-reason pair instead of a silently-failing number.
-    let gather_avg_run = gather_rows / single.gather_runs.max(1.0);
-    let gather_target_applies = gather_avg_run >= 2.0;
-    let gather_skip_reason = (!gather_target_applies).then(|| {
-        format!(
-            "average coalesced run length {gather_avg_run:.2} < 2 rows: \
-             workload is per-row-bound, coalescing target cannot bind"
-        )
+    // run bookkeeping and 2.0x is unreachable by construction.
+    let gather_rows = single("gather_rows");
+    let gather_avg_run = gather_rows / single("gather_runs").max(1.0);
+    let mut gather = json!({
+        "workload": "hop-1 frontier slot features (duplicates + padding zeros), 64 cols: allocating per-element scalar loop vs allocating per-row gather_rows vs run-length-coalesced gather_rows_into reusing its output buffer",
+        "rows_per_pass": gather_rows,
+        "coalesced_runs": single("gather_runs"),
+        "scalar_rows_per_sec_single_thread": gather_rows / (single("gather_scalar_ns") / 1e9),
+        "per_row_rows_per_sec_single_thread": gather_rows / (single("gather_perrow_ns") / 1e9),
+        "coalesced_rows_per_sec_single_thread": gather_rows / (single("gather_coalesced_ns") / 1e9),
+        "single_thread_speedup": single("gather_scalar_ns") / single("gather_coalesced_ns"),
+        "average_run_length": gather_avg_run,
+        "rows_bit_identical": true,
     });
-    match &gather_skip_reason {
-        None => println!(
-            "frontier feature gather (1 thread, {gather_rows:.0} rows, {:.0} coalesced runs): \
-             scalar {gather_scalar_rps:.0} rows/s -> per-row {gather_perrow_rps:.0} rows/s -> \
-             coalesced {gather_coalesced_rps:.0} rows/s  ({gather_speedup:.2}x, target 2.0x)",
-            single.gather_runs
-        ),
-        Some(reason) => println!(
-            "frontier feature gather (1 thread, {gather_rows:.0} rows, {:.0} coalesced runs): \
-             scalar {gather_scalar_rps:.0} rows/s -> per-row {gather_perrow_rps:.0} rows/s -> \
-             coalesced {gather_coalesced_rps:.0} rows/s  ({gather_speedup:.2}x; \
-             2.0x target skipped: {reason})",
-            single.gather_runs
-        ),
-    }
-    println!(
-        "gather bit-identical across thread counts: hash {}",
-        single.gather_hash
-    );
-
-    let store_bulk_eps = single.store_events / (single.store_bulk_ns / 1e9);
-    let store_tiny_sps = single.samples_per_pass / (single.store_tiny_ns / 1e9);
-    let store_big_sps = single.samples_per_pass / (single.store_big_ns / 1e9);
-    let resident_sps = single.samples_per_pass / (single.sample_csr_ns / 1e9);
-    println!(
-        "paged store: bulk load {store_bulk_eps:.0} events/s; TemporalSafe pass \
-         {store_tiny_sps:.0} samples/s at 64 KiB budget ({:.0} evictions, \
-         {:.0} cache bytes) -> {store_big_sps:.0} samples/s at 64 MiB \
-         (resident CSR: {resident_sps:.0} samples/s)",
-        single.store_evictions, single.store_cache_bytes
-    );
-    println!(
-        "paged bit-identical to resident and across thread counts: digest {} frontier {}",
-        single.store_digest, single.store_frontier_hash
-    );
-
-    // Span-instrumentation overhead on the sampling workload (targets from
-    // the obs acceptance criteria: inert ≈ 1.00x, JSONL tracing ≤ 1.03x).
-    // Reported, not asserted — wall-clock ratios this small are noisy on
-    // shared machines; the JSON records them for trend tracking.
-    let inert_ratio = single.trace_inert_ns / single.trace_plain_ns;
-    let rec_ratio = single.trace_rec_ns / single.trace_plain_ns;
-    let traced_ratio = single.trace_on_ns / single.trace_plain_ns;
-    println!(
-        "obs span overhead on sampling pass (1 thread): inert {inert_ratio:.3}x \
-         (target ~1.00x), recorder {rec_ratio:.3}x, JSONL tracing {traced_ratio:.3}x \
-         (target <= 1.03x)"
-    );
-
-    // Sanitizer overhead on the eval pass: off is the shipping default and
-    // must cost nothing measurable (the plain pass above ran with the env
-    // default, i.e. off — the ratio between the two is pure noise floor);
-    // on is a debug mode, reported for scale.
-    let san_off_ratio = single.san_off_ns / single.pass_ns;
-    let san_on_ratio = single.san_on_ns / single.san_off_ns;
-    println!(
-        "sanitizer overhead on eval pass (1 thread): off {san_off_ratio:.3}x vs plain \
-         (target ~1.00x), on {san_on_ratio:.3}x vs off (debug mode); scores \
-         bit-identical either way"
-    );
-
-    // Fused tape engine: the cross-thread loss-trajectory contract.
-    assert_eq!(
-        single.ts_traj_hash, multi.ts_traj_hash,
-        "training loss trajectory must be bit-identical across thread counts"
-    );
-    println!(
-        "train_step (1 thread): TGAT {:.0} ns, TGN {:.0} ns; TGAT attention {:.1}% of dense \
-         step time",
-        single.ts_tgat_ns,
-        single.ts_tgn_ns,
-        100.0 * single.ts_tgat_att_share
-    );
-    println!(
-        "train_step loss bit-identical across thread counts (trajectory hash {})",
-        single.ts_traj_hash
+    gate(
+        &mut gather,
+        "single_thread_target",
+        2.0,
+        (gather_avg_run < 2.0).then(|| {
+            format!(
+                "average coalesced run length {gather_avg_run:.2} < 2 rows: \
+                 workload is per-row-bound, coalescing target cannot bind"
+            )
+        }),
     );
 
     // Audit engine timing: the full-workspace interprocedural analysis
@@ -1292,103 +978,74 @@ fn main() {
         audit_ms <= AUDIT_BUDGET_MS,
         "full-workspace audit took {audit_ms:.0} ms, budget {AUDIT_BUDGET_MS:.0} ms"
     );
-    println!(
-        "audit: full workspace in {audit_ms:.0} ms (budget {AUDIT_BUDGET_MS:.0} ms) — \
-         {} files, {} fns, {} edges, resolved ratio {:.2}",
-        audit.graph.files_parsed,
-        audit.graph.functions,
-        audit.graph.edges,
-        audit.graph.resolved_ratio()
-    );
 
-    if smoke {
-        println!("smoke mode: all kernels and determinism assertions passed; skipping JSON");
-        return;
-    }
-
+    // Span-instrumentation overhead (targets from the obs acceptance
+    // criteria: inert ≈ 1.00x, JSONL tracing ≤ 1.03x) and sanitizer
+    // overhead (off is the shipping default and must cost nothing
+    // measurable; on is a debug mode, reported for scale) are reported,
+    // not asserted — wall-clock ratios this small are noisy on shared
+    // machines; the JSON records them for trend tracking.
     let report = json!({
         "host_cores": host_cores,
         "matmul_256": {
-            "seed_ns_single_thread": single.seed_ns,
-            "kernel_ns_single_thread": single.kernel_ns,
-            "kernel_ns_multi_thread": multi.kernel_ns,
-            "single_thread_speedup": matmul_speedup,
+            "seed_ns_single_thread": single("seed_ns"),
+            "kernel_ns_single_thread": single("kernel_ns"),
+            "kernel_ns_multi_thread": multi("kernel_ns"),
+            "single_thread_speedup": single("seed_ns") / single("kernel_ns"),
             "single_thread_target": 2.0,
         },
-        "eval": {
-            "events_per_sec_1_thread": single.events_per_sec,
-            "events_per_sec_4_threads": multi.events_per_sec,
-            "speedup": eval_speedup,
-            "speedup_target": 1.5,
-            "speedup_target_applies": eval_target_applies,
-            "speedup_target_skip_reason": eval_skip_reason,
-            "threads": [single.threads, multi.threads],
-            "metrics_bit_identical": true,
-        },
+        "eval": eval,
         "ranking": {
             "workload": "filtered-negative candidate-set build (Random pool, collision filtering) over the test split, plus the pessimistic-tie MRR/Hits kernel on deterministic scores",
-            "rank_negatives": single.rank_k,
-            "queries": single.rank_queries,
-            "build_queries_per_sec_single_thread": rank_build_qps,
-            "metric_queries_per_sec_single_thread": rank_metric_qps,
+            "rank_negatives": single("rank_k"),
+            "queries": single("rank_queries"),
+            "build_queries_per_sec_single_thread": single("rank_queries") / (single("rank_build_ns") / 1e9),
+            "metric_queries_per_sec_single_thread": single("rank_queries") / (single("rank_metric_ns") / 1e9),
             "candidate_sets_bit_identical": true,
             "mrr_bit_identical": true,
         },
         "neighbor_sampling": {
             "workload": "TemporalSafe k=10 over every event endpoint at its own timestamp",
-            "seed_samples_per_sec_single_thread": seed_sps,
-            "csr_samples_per_sec_single_thread": csr_sps,
-            "single_thread_speedup": sampling_speedup,
+            "seed_samples_per_sec_single_thread": samples_per_pass / (single("sample_seed_ns") / 1e9),
+            "csr_samples_per_sec_single_thread": resident_sps,
+            "single_thread_speedup": single("sample_seed_ns") / single("sample_csr_ns"),
             "single_thread_target": 2.0,
-            "mixed_strategy_csr_samples_per_sec": mixed_csr_sps,
-            "mixed_strategy_speedup": mixed_speedup,
-            "frontier_slots_per_sec_1_thread": frontier_sps_1,
-            "frontier_slots_per_sec_4_threads": frontier_sps_4,
+            "mixed_strategy_csr_samples_per_sec": single("mixed_samples") / (single("mixed_csr_ns") / 1e9),
+            "mixed_strategy_speedup": single("mixed_seed_ns") / single("mixed_csr_ns"),
+            "frontier_slots_per_sec_1_thread": single("frontier_slots") / (single("frontier_ns") / 1e9),
+            "frontier_slots_per_sec_4_threads": multi("frontier_slots") / (multi("frontier_ns") / 1e9),
             "samples_bit_identical": true,
         },
-        "gather": {
-            "workload": "hop-1 frontier slot features (duplicates + padding zeros), 64 cols: allocating per-element scalar loop vs allocating per-row gather_rows vs run-length-coalesced gather_rows_into reusing its output buffer",
-            "rows_per_pass": gather_rows,
-            "coalesced_runs": single.gather_runs,
-            "scalar_rows_per_sec_single_thread": gather_scalar_rps,
-            "per_row_rows_per_sec_single_thread": gather_perrow_rps,
-            "coalesced_rows_per_sec_single_thread": gather_coalesced_rps,
-            "single_thread_speedup": gather_speedup,
-            "single_thread_target": 2.0,
-            "single_thread_target_applies": gather_target_applies,
-            "single_thread_target_skip_reason": gather_skip_reason,
-            "average_run_length": gather_avg_run,
-            "rows_bit_identical": true,
-        },
+        "gather": gather,
         "store": {
             "workload": "sampling graph bulk-loaded into the paged on-disk store; mixed-strategy and TemporalSafe passes re-run through the paged backend at a 64 KiB page-cache budget (evicting) and a 64 MiB budget (fully cached)",
-            "bulk_load_events_per_sec": store_bulk_eps,
-            "paged_samples_per_sec_64kib_budget": store_tiny_sps,
-            "paged_samples_per_sec_64mib_budget": store_big_sps,
+            "bulk_load_events_per_sec": single("store_events") / (single("store_bulk_ns") / 1e9),
+            "paged_samples_per_sec_64kib_budget": samples_per_pass / (single("store_tiny_ns") / 1e9),
+            "paged_samples_per_sec_64mib_budget": samples_per_pass / (single("store_big_ns") / 1e9),
             "resident_samples_per_sec": resident_sps,
-            "evictions_at_64kib_budget": single.store_evictions,
-            "cache_resident_bytes_at_64kib_budget": single.store_cache_bytes,
+            "evictions_at_64kib_budget": single("store_evictions"),
+            "cache_resident_bytes_at_64kib_budget": single("store_cache_bytes"),
             "paged_bit_identical_to_resident": true,
             "paged_bit_identical_across_threads": true,
         },
         "tracing": {
             "workload": "TemporalSafe sampling pass with a dense+sampling span pair per batch",
-            "plain_ns_single_thread": single.trace_plain_ns,
-            "inert_span_ns_single_thread": single.trace_inert_ns,
-            "recorder_ns_single_thread": single.trace_rec_ns,
-            "jsonl_trace_ns_single_thread": single.trace_on_ns,
-            "inert_overhead_ratio": inert_ratio,
+            "plain_ns_single_thread": single("trace_plain_ns"),
+            "inert_span_ns_single_thread": single("trace_inert_ns"),
+            "recorder_ns_single_thread": single("trace_rec_ns"),
+            "jsonl_trace_ns_single_thread": single("trace_on_ns"),
+            "inert_overhead_ratio": single("trace_inert_ns") / single("trace_plain_ns"),
             "inert_overhead_target": 1.0,
-            "recorder_overhead_ratio": rec_ratio,
-            "jsonl_trace_overhead_ratio": traced_ratio,
+            "recorder_overhead_ratio": single("trace_rec_ns") / single("trace_plain_ns"),
+            "jsonl_trace_overhead_ratio": single("trace_on_ns") / single("trace_plain_ns"),
             "jsonl_trace_overhead_target": 1.03,
         },
         "train_step": {
             "workload": "100-event train_batch (forward + backward + Adam) after warming temporal state on the graph prefix",
-            "tgat_fused_ns_single_thread": single.ts_tgat_ns,
-            "tgat_attention_share_of_dense_fused": single.ts_tgat_att_share,
-            "tgat_attention_ns_single_thread": single.ts_tgat_ns * single.ts_tgat_att_share,
-            "tgn_fused_ns_single_thread": single.ts_tgn_ns,
+            "tgat_fused_ns_single_thread": single("ts_tgat_ns"),
+            "tgat_attention_share_of_dense_fused": single("ts_tgat_att_share"),
+            "tgat_attention_ns_single_thread": single("ts_tgat_ns") * single("ts_tgat_att_share"),
+            "tgn_fused_ns_single_thread": single("ts_tgn_ns"),
             "loss_bit_identical": true,
         },
         "audit": {
@@ -1403,14 +1060,17 @@ fn main() {
         },
         "sanitizer": {
             "workload": "full eval pass (batched gather + parallel matmul forward)",
-            "plain_ns_single_thread": single.pass_ns,
-            "sanitize_off_ns_single_thread": single.san_off_ns,
-            "sanitize_on_ns_single_thread": single.san_on_ns,
-            "off_overhead_ratio": san_off_ratio,
+            "plain_ns_single_thread": single("pass_ns"),
+            "sanitize_off_ns_single_thread": single("san_off_ns"),
+            "sanitize_on_ns_single_thread": single("san_on_ns"),
+            "off_overhead_ratio": single("san_off_ns") / single("pass_ns"),
             "off_overhead_target": 1.0,
-            "on_overhead_ratio": san_on_ratio,
+            "on_overhead_ratio": single("san_on_ns") / single("san_off_ns"),
             "scores_bit_identical": true,
         },
     });
-    save_json(std::path::Path::new("."), "BENCH_kernels.json", &report);
+    println!("{}", report.to_string_pretty());
+    if !smoke {
+        save_json(std::path::Path::new("."), "BENCH_kernels.json", &report);
+    }
 }

@@ -16,6 +16,7 @@
 
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_tensor::init;
+use benchtemp_util::Fnv1a;
 
 use crate::sampler::{candidate_pool, destination_range, NegativeStrategy};
 
@@ -194,19 +195,13 @@ impl FilteredNegativeSet {
     /// FNV-1a digest over the full candidate layout — the cross-thread /
     /// cross-process determinism witness.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(self.k as u64);
-        eat(self.n as u64);
+        let mut h = Fnv1a::new();
+        h.write_u64(self.k as u64);
+        h.write_u64(self.n as u64);
         for &c in &self.candidates {
-            eat(c as u64);
+            h.write_u64(c as u64);
         }
-        h
+        h.finish()
     }
 
     /// Heap bytes held (efficiency accounting).

@@ -1,15 +1,9 @@
-//! Shared fixtures for the child-process determinism suites.
-//!
-//! The worker pool reads `BENCHTEMP_THREADS` once per process, so every
-//! thread-count comparison spawns the test binary again as a child with the
-//! env var set, and the driver compares the `RESULT …` marker lines the
-//! workers print. `MlpEdgeModel` is the pipeline-conformant model the
-//! workers train: stateless in time, but big enough (batch rows × concat
-//! width × hidden crosses `PAR_FLOPS`) that the parallel matmul path is
-//! genuinely exercised — a thread-count bug shows up as a bit flip.
-#![allow(dead_code)]
-
-use std::process::Command;
+//! Shared fixture for the child-process determinism suites (the harness
+//! itself is `benchtemp_util::child`). `MlpEdgeModel` is the
+//! pipeline-conformant model the workers train: stateless in time, but big
+//! enough (batch rows × concat width × hidden crosses `PAR_FLOPS`) that the
+//! parallel matmul path is genuinely exercised — a thread-count bug shows
+//! up as a bit flip.
 
 use benchtemp_core::pipeline::{Anatomy, StreamContext, TgnnModel};
 use benchtemp_graph::temporal_graph::Interaction;
@@ -157,30 +151,4 @@ impl TgnnModel for MlpEdgeModel {
     fn state_bytes(&self) -> usize {
         self.store.heap_bytes()
     }
-}
-
-/// Re-invoke this test binary running only `worker`, with
-/// `BENCHTEMP_DETERMINISM_CHILD=1` plus `envs`, and return the worker's
-/// `RESULT …` marker line.
-pub fn run_child(worker: &str, envs: &[(&str, &str)]) -> String {
-    let exe = std::env::current_exe().expect("current test binary");
-    let mut cmd = Command::new(exe);
-    cmd.args([worker, "--exact", "--nocapture"])
-        .env("BENCHTEMP_DETERMINISM_CHILD", "1");
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "child with {envs:?} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    // libtest's unbuffered "test … ok" progress text can share a line with
-    // the worker's output, so match the marker anywhere in the line.
-    stdout
-        .lines()
-        .find_map(|l| l.find("RESULT ").map(|at| l[at..].to_string()))
-        .unwrap_or_else(|| panic!("no RESULT line from child:\n{stdout}"))
 }

@@ -1,27 +1,23 @@
 //! Thread-count determinism suite: the runtime contract says the same seed
-//! produces bit-identical metrics at any `BENCHTEMP_THREADS` setting.
+//! produces bit-identical metrics at any `BENCHTEMP_THREADS` setting, and
+//! arming the sanitizer (`BENCHTEMP_SANITIZE=1`) — which only *checks* slot
+//! claims and tape accounting, never reorders work — changes no bit either.
 //!
-//! The pool reads `BENCHTEMP_THREADS` once per process, so each setting runs
-//! in a child process: the driver test re-invokes this test binary with
-//! `BENCHTEMP_DETERMINISM_CHILD=1`, the worker test trains a small model
-//! through the full link-prediction pipeline (big enough to cross the
-//! parallel matmul threshold) and prints the exact bit patterns of every
-//! metric, and the driver compares the lines across thread counts.
+//! The worker trains a small model through the full link-prediction
+//! pipeline (big enough to cross the parallel matmul threshold) and digests
+//! the exact bit pattern of every metric; `benchtemp_util::child` runs it
+//! at 1 thread, 4 threads and 4 threads + sanitize, one process each.
 
 mod common;
 
 use benchtemp_core::dataloader::LinkPredSplit;
 use benchtemp_core::pipeline::{train_link_prediction, TrainConfig};
 use benchtemp_graph::generators::GeneratorConfig;
+use benchtemp_util::child::{self, Fnv1a};
 use common::{MlpEdgeModel, NODE_DIM};
 
-/// Child-process worker: runs the pipeline and prints every metric's exact
-/// bit pattern. Skipped unless spawned by the driver below.
-#[test]
-fn determinism_child_worker() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_err() {
-        return;
-    }
+/// Digest of every metric's exact bit pattern from one pipeline run.
+fn pipeline_digest() -> u64 {
     let mut cfg = GeneratorConfig::small("det", 11);
     cfg.num_edges = 1200;
     cfg.node_dim = NODE_DIM;
@@ -34,43 +30,30 @@ fn determinism_child_worker() {
     let mut model = MlpEdgeModel::new(3);
     let run = train_link_prediction(&mut model, &graph, &split, &train_cfg);
 
-    let mut bits = Vec::new();
+    let mut h = Fnv1a::new();
     for m in [run.transductive, run.inductive, run.new_old, run.new_new] {
-        bits.push(format!("{:016x}", m.auc.to_bits()));
-        bits.push(format!("{:016x}", m.ap.to_bits()));
-        bits.push(format!("{}", m.n_edges));
+        h.write_f64(m.auc);
+        h.write_f64(m.ap);
+        h.write_u64(m.n_edges as u64);
     }
-    bits.push(format!("{:016x}", run.best_val_ap.to_bits()));
-    for l in &run.epoch_losses {
-        bits.push(format!("{:08x}", l.to_bits()));
+    h.write_f64(run.best_val_ap);
+    for &l in &run.epoch_losses {
+        h.write_f32(l);
     }
-    println!("RESULT {}", bits.join(" "));
+    h.finish()
 }
 
-fn run_child(envs: &[(&str, &str)]) -> String {
-    common::run_child("determinism_child_worker", envs)
-}
-
-/// The contract itself: one thread vs four threads, bit-identical metrics.
+/// Child-process worker; a no-op unless spawned by the driver below.
 #[test]
-fn metrics_bit_identical_across_thread_counts() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
-        return; // don't recurse inside a child process
+fn determinism_child_worker() {
+    if child::is_child() {
+        child::report(format!("{:016x}", pipeline_digest()));
     }
-    let single = run_child(&[("BENCHTEMP_THREADS", "1")]);
-    let quad = run_child(&[("BENCHTEMP_THREADS", "4")]);
-    assert_eq!(single, quad, "metrics must not depend on the thread count");
 }
 
-/// The sanitizer is observation-only: arming `BENCHTEMP_SANITIZE=1` must
-/// not change a single metric bit (it only *checks* slot claims and tape
-/// accounting; it never reorders or perturbs work).
+/// The contract itself: 1 vs 4 threads, and 4 threads with the sanitizer
+/// armed, all bit-identical.
 #[test]
-fn metrics_bit_identical_with_sanitizer_on() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
-        return; // don't recurse inside a child process
-    }
-    let plain = run_child(&[("BENCHTEMP_THREADS", "4")]);
-    let sanitized = run_child(&[("BENCHTEMP_THREADS", "4"), ("BENCHTEMP_SANITIZE", "1")]);
-    assert_eq!(plain, sanitized, "sanitize mode must not reach results");
+fn metrics_bit_identical_across_threads_and_sanitize() {
+    child::assert_bit_identical(&["determinism_child_worker", "--exact", "--nocapture"]);
 }

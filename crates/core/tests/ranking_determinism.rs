@@ -1,16 +1,15 @@
 //! Determinism suite for the filtered-negative ranking path (DESIGN.md §14).
 //!
-//! Two contracts, both witnessed by exact bit patterns printed from child
-//! processes (the pool reads `BENCHTEMP_THREADS` once per process, so each
-//! thread count gets its own process — which also makes every comparison a
-//! *cross-process* comparison, the reproducibility bar for published
-//! leaderboard numbers):
+//! Two contracts, both witnessed by a digest of exact bit patterns from
+//! `benchtemp_util::child` processes (1 thread, 4 threads, 4 threads +
+//! sanitize — every comparison is therefore also a *cross-process*
+//! comparison, the reproducibility bar for published leaderboard numbers):
 //!
 //! 1. `FilteredNegativeSet` is a pure function of (graph, split, strategy,
 //!    k, seed): identical digests at any thread count, in any process.
 //! 2. MRR/Hits@K flow through the pipeline without absorbing thread-count
-//!    noise: the full ranking metric set is bit-identical at 1 vs 4
-//!    threads, and enabling ranking leaves AUC/AP bits untouched.
+//!    noise: the full ranking metric set is bit-identical in every arm,
+//!    and enabling ranking leaves AUC/AP bits untouched.
 
 mod common;
 
@@ -18,7 +17,8 @@ use benchtemp_core::dataloader::LinkPredSplit;
 use benchtemp_core::pipeline::{train_link_prediction, TrainConfig};
 use benchtemp_core::{FilteredNegativeSet, NegativeStrategy};
 use benchtemp_graph::generators::GeneratorConfig;
-use common::{run_child, MlpEdgeModel, NODE_DIM};
+use benchtemp_util::child::{self, Fnv1a};
+use common::{MlpEdgeModel, NODE_DIM};
 
 fn fixture() -> (
     benchtemp_graph::temporal_graph::TemporalGraph,
@@ -32,23 +32,19 @@ fn fixture() -> (
     (graph, split)
 }
 
-/// Child worker: candidate-set digests for all three pools, then the full
+/// Digest of the candidate sets for all three pools, then the full
 /// ranking metric bits from a trained pipeline run.
-#[test]
-fn ranking_child_worker() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_err() {
-        return;
-    }
+fn ranking_digest() -> u64 {
     let (graph, split) = fixture();
 
-    let mut bits = Vec::new();
+    let mut h = Fnv1a::new();
     for strategy in [
         NegativeStrategy::Random,
         NegativeStrategy::Historical,
         NegativeStrategy::Inductive,
     ] {
         let set = FilteredNegativeSet::build(&graph, &split.train, &split.test, strategy, 10, 99);
-        bits.push(format!("{:016x}", set.digest()));
+        h.write_u64(set.digest());
     }
 
     let cfg = TrainConfig {
@@ -59,37 +55,31 @@ fn ranking_child_worker() {
     let mut model = MlpEdgeModel::new(3);
     let run = train_link_prediction(&mut model, &graph, &split, &cfg);
     for m in [run.transductive, run.inductive, run.new_old, run.new_new] {
-        bits.push(format!("{:016x}", m.auc.to_bits()));
-        bits.push(format!("{:016x}", m.ap.to_bits()));
+        h.write_f64(m.auc);
+        h.write_f64(m.ap);
         let r = m.ranking.expect("rank_negatives > 0 must produce ranking");
         for v in [r.mrr, r.hits_at_1, r.hits_at_3, r.hits_at_10] {
-            bits.push(format!("{:016x}", v.to_bits()));
+            h.write_f64(v);
         }
-        bits.push(format!("{}", m.n_edges));
+        h.write_u64(m.n_edges as u64);
     }
-    println!("RESULT {}", bits.join(" "));
+    h.finish()
 }
 
-/// Contract 1 + 2: digests and ranking metrics are bit-identical across
-/// thread counts, compared across separate processes.
+/// Child-process worker; a no-op unless spawned by the driver below.
+#[test]
+fn ranking_child_worker() {
+    if child::is_child() {
+        child::report(format!("{:016x}", ranking_digest()));
+    }
+}
+
+/// Contracts 1 + 2: digests and ranking metrics are bit-identical across
+/// thread counts and the sanitizer, compared across three processes —
+/// cross-process stability, not just agreement within one process.
 #[test]
 fn ranking_bits_identical_across_threads_and_processes() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
-        return; // don't recurse inside a child process
-    }
-    let single = run_child("ranking_child_worker", &[("BENCHTEMP_THREADS", "1")]);
-    let quad = run_child("ranking_child_worker", &[("BENCHTEMP_THREADS", "4")]);
-    assert_eq!(
-        single, quad,
-        "filtered-negative sets / MRR must not depend on the thread count"
-    );
-    // Same config in a third process: cross-process stability, not just
-    // agreement between two equally-wrong runs.
-    let again = run_child("ranking_child_worker", &[("BENCHTEMP_THREADS", "4")]);
-    assert_eq!(
-        quad, again,
-        "ranking results must be stable across processes"
-    );
+    child::assert_bit_identical(&["ranking_child_worker", "--exact", "--nocapture"]);
 }
 
 /// Enabling the ranking pass must not perturb AUC/AP: candidate scoring
@@ -97,9 +87,6 @@ fn ranking_bits_identical_across_threads_and_processes() {
 /// AUC/AP bits with `rank_negatives = 10` match a run with ranking off.
 #[test]
 fn enabling_ranking_leaves_auc_ap_bits_untouched() {
-    if std::env::var("BENCHTEMP_DETERMINISM_CHILD").is_ok() {
-        return;
-    }
     let (graph, split) = fixture();
     let run_with = |rank_negatives: usize| {
         let cfg = TrainConfig {

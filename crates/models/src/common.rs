@@ -7,6 +7,7 @@ use benchtemp_graph::neighbors::{FrontierHop, SamplingStrategy};
 use benchtemp_graph::temporal_graph::Interaction;
 use benchtemp_tensor::init::{self, SeededRng};
 use benchtemp_tensor::{Adam, Graph, Matrix, ParamStore, Var};
+use benchtemp_util::Fnv1a;
 
 /// Hyperparameters shared across the zoo. Defaults are sized for the CPU
 /// substrate; the paper's 172-dim attention stacks are available by raising
@@ -280,23 +281,17 @@ pub fn pos_neg_targets(n: usize) -> Vec<f32> {
 /// AUC/AP sampling — and the stream is identical at any thread count and
 /// across processes.
 pub fn ranking_rng(batch: &[Interaction], cand_dsts: &[usize]) -> SeededRng {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(batch.len() as u64);
+    let mut h = Fnv1a::new();
+    h.write_u64(batch.len() as u64);
     for e in batch {
-        eat(e.src as u64);
-        eat(e.dst as u64);
-        eat(e.t.to_bits());
+        h.write_u64(e.src as u64);
+        h.write_u64(e.dst as u64);
+        h.write_f64(e.t);
     }
     for &c in cand_dsts {
-        eat(c as u64);
+        h.write_u64(c as u64);
     }
-    init::rng(h)
+    init::rng(h.finish())
 }
 
 #[cfg(test)]

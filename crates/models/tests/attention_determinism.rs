@@ -5,12 +5,10 @@
 //! across the worker pool, so the properties under test are (a) the slab
 //! decomposition preserves element-wise FP operation order at any thread
 //! count, and (b) a fresh process reproduces the exact trajectory. Each
-//! child process trains the same model and prints an FNV-1a hash over the
-//! per-batch loss bits and the final eval scores; 1-thread and 4-thread
-//! children must agree, and `BENCHTEMP_SANITIZE=1` (which activates the
-//! `grouped_attention_rows` slab-claim checking) must not perturb it.
-
-use std::process::Command;
+//! child process trains the same model and digests the per-batch loss bits
+//! and the final eval scores; `benchtemp_util::child` requires 1-thread and
+//! 4-thread children to agree, and `BENCHTEMP_SANITIZE=1` (which activates
+//! the `grouped_attention_rows` slab-claim checking) must not perturb it.
 
 use benchtemp_core::pipeline::{StreamContext, TgnnModel};
 use benchtemp_graph::generators::GeneratorConfig;
@@ -18,16 +16,7 @@ use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_graph::NeighborFinder;
 use benchtemp_models::common::ModelConfig;
 use benchtemp_models::tgat::Tgat;
-
-/// FNV-1a over a byte stream — endian-stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use benchtemp_util::child::{self, Fnv1a};
 
 /// Train a small TGAT for a few batches and digest the trajectory:
 /// every train loss bit pattern plus the final eval scores.
@@ -47,7 +36,7 @@ fn tgat_trajectory_digest() -> u64 {
         ..Default::default()
     };
     let mut model = Tgat::new(cfg, &g);
-    let mut bytes: Vec<u8> = Vec::new();
+    let mut h = Fnv1a::new();
     let batch_size = 20;
     for (i, batch) in g.events.chunks(batch_size).take(6).enumerate() {
         let negs: Vec<usize> = batch
@@ -55,65 +44,28 @@ fn tgat_trajectory_digest() -> u64 {
             .enumerate()
             .map(|(j, _)| g.num_users + (i * batch_size + j) % (g.num_nodes - g.num_users))
             .collect();
-        let loss = model.train_batch(&ctx, batch, &negs);
-        bytes.extend(loss.to_bits().to_le_bytes());
+        h.write_f32(model.train_batch(&ctx, batch, &negs));
     }
     let eval = &g.events[g.num_events() - batch_size..];
     let negs: Vec<usize> = eval.iter().map(|_| g.num_users).collect();
     let (pos, neg) = model.eval_batch(&ctx, eval, &negs);
-    for s in pos.iter().chain(neg.iter()) {
-        bytes.extend(s.to_bits().to_le_bytes());
+    for &s in pos.iter().chain(neg.iter()) {
+        h.write_f32(s);
     }
-    fnv1a(bytes.into_iter())
+    h.finish()
 }
 
-/// Child-process worker: prints the digest. Skipped unless spawned below.
+/// Child-process worker; a no-op unless spawned by the driver below.
 #[test]
 fn attention_child_worker() {
-    if std::env::var("BENCHTEMP_ATTENTION_CHILD").is_err() {
-        return;
+    if child::is_child() {
+        child::report(format!("{:016x}", tgat_trajectory_digest()));
     }
-    println!("RESULT {:016x}", tgat_trajectory_digest());
-}
-
-fn run_child(threads: &str, sanitize: bool) -> String {
-    let exe = std::env::current_exe().expect("current test binary");
-    let mut cmd = Command::new(exe);
-    cmd.args(["attention_child_worker", "--exact", "--nocapture"])
-        .env("BENCHTEMP_ATTENTION_CHILD", "1")
-        .env("BENCHTEMP_THREADS", threads);
-    if sanitize {
-        cmd.env("BENCHTEMP_SANITIZE", "1");
-    }
-    let out = cmd.output().expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "attention child (threads={threads}, sanitize={sanitize}) failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .lines()
-        .find_map(|l| l.find("RESULT ").map(|at| l[at..].to_string()))
-        .unwrap_or_else(|| panic!("no RESULT line from child:\n{stdout}"))
 }
 
 /// 1-thread vs 4-thread children, with and without the sanitizer: one bit
 /// pattern for the whole TGAT train/eval trajectory.
 #[test]
 fn tgat_trajectory_bit_identical_across_processes_and_threads() {
-    if std::env::var("BENCHTEMP_ATTENTION_CHILD").is_ok() {
-        return; // don't recurse inside a child process
-    }
-    let single = run_child("1", false);
-    let quad = run_child("4", false);
-    assert_eq!(
-        single, quad,
-        "fused attention trajectory must not depend on thread count"
-    );
-    let quad_sanitized = run_child("4", true);
-    assert_eq!(
-        single, quad_sanitized,
-        "sanitize-mode slab-claim checking must not perturb the trajectory"
-    );
+    child::assert_bit_identical(&["attention_child_worker", "--exact", "--nocapture"]);
 }

@@ -7,11 +7,10 @@
 //! (a) a multi-hop frontier expanded through the paged backend matches the
 //! resident CSR engine bit for bit, and (b) a short TGAT training
 //! trajectory driven through a paged `StreamContext` matches the same
-//! model trained resident. The child prints an FNV-1a digest over both;
-//! 1-thread and 4-thread children must print the same bits, which also
-//! witnesses that eviction scheduling never leaks into results.
-
-use std::process::Command;
+//! model trained resident. The child reports an FNV-1a digest over both;
+//! `benchtemp_util::child` requires its 1-thread, 4-thread and sanitized
+//! children to report the same bits, which also witnesses that eviction
+//! scheduling never leaks into results.
 
 use benchtemp_core::pipeline::{StreamContext, TgnnModel};
 use benchtemp_graph::generators::GeneratorConfig;
@@ -20,43 +19,36 @@ use benchtemp_graph::{NeighborFinder, SamplingStrategy};
 use benchtemp_models::common::ModelConfig;
 use benchtemp_models::tgat::Tgat;
 use benchtemp_obs::counters::STORE_PAGE_EVICTIONS;
+use benchtemp_util::child::{self, Fnv1a};
 
 const CACHE_BUDGET: usize = 64 * 1024;
 
-/// FNV-1a over a byte stream — endian-stable and dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Digest every column of every hop of a frontier.
-fn frontier_bytes(f: &benchtemp_graph::Frontier, bytes: &mut Vec<u8>) {
+fn frontier_digest(f: &benchtemp_graph::Frontier) -> u64 {
+    let mut h = Fnv1a::new();
     for hop in &f.hops {
         for &n in &hop.nodes {
-            bytes.extend((n as u64).to_le_bytes());
+            h.write_u64(n as u64);
         }
         for &t in &hop.times {
-            bytes.extend(t.to_bits().to_le_bytes());
+            h.write_f64(t);
         }
         for &e in &hop.event_idx {
-            bytes.extend((e as u64).to_le_bytes());
+            h.write_u64(e as u64);
         }
         for &d in &hop.dts {
-            bytes.extend(d.to_bits().to_le_bytes());
+            h.write_f32(d);
         }
         for &m in &hop.mask {
-            bytes.push(m as u8);
+            h.write(&[m as u8]);
         }
     }
+    h.finish()
 }
 
 /// Train a small TGAT for a few batches through `ctx`, digesting every
 /// loss bit and the final eval scores.
-fn trajectory_bytes(g: &benchtemp_graph::TemporalGraph, ctx: &StreamContext) -> Vec<u8> {
+fn trajectory_digest(g: &benchtemp_graph::TemporalGraph, ctx: &StreamContext) -> u64 {
     let cfg = ModelConfig {
         embed_dim: 16,
         time_dim: 8,
@@ -66,7 +58,7 @@ fn trajectory_bytes(g: &benchtemp_graph::TemporalGraph, ctx: &StreamContext) -> 
         ..Default::default()
     };
     let mut model = Tgat::new(cfg, g);
-    let mut bytes: Vec<u8> = Vec::new();
+    let mut h = Fnv1a::new();
     let batch_size = 20;
     for (i, batch) in g.events.chunks(batch_size).take(6).enumerate() {
         let negs: Vec<usize> = batch
@@ -74,16 +66,15 @@ fn trajectory_bytes(g: &benchtemp_graph::TemporalGraph, ctx: &StreamContext) -> 
             .enumerate()
             .map(|(j, _)| g.num_users + (i * batch_size + j) % (g.num_nodes - g.num_users))
             .collect();
-        let loss = model.train_batch(ctx, batch, &negs);
-        bytes.extend(loss.to_bits().to_le_bytes());
+        h.write_f32(model.train_batch(ctx, batch, &negs));
     }
     let eval = &g.events[g.num_events() - batch_size..];
     let negs: Vec<usize> = eval.iter().map(|_| g.num_users).collect();
     let (pos, neg) = model.eval_batch(ctx, eval, &negs);
-    for s in pos.iter().chain(neg.iter()) {
-        bytes.extend(s.to_bits().to_le_bytes());
+    for &s in pos.iter().chain(neg.iter()) {
+        h.write_f32(s);
     }
-    bytes
+    h.finish()
 }
 
 /// Full paged-vs-resident witness for one process; returns the digest.
@@ -106,24 +97,22 @@ fn paged_digest() -> u64 {
     let times: Vec<f64> = g.events.iter().step_by(7).map(|e| e.t).collect();
     let resident_f = nf.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
     let paged_f = paged.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
-    let (mut rb, mut pb) = (Vec::new(), Vec::new());
-    frontier_bytes(&resident_f, &mut rb);
-    frontier_bytes(&paged_f, &mut pb);
+    let paged_frontier = frontier_digest(&paged_f);
     assert_eq!(
-        fnv1a(rb.into_iter()),
-        fnv1a(pb.iter().copied()),
+        frontier_digest(&resident_f),
+        paged_frontier,
         "paged frontier must be bit-identical to resident"
     );
 
     // (b) Training-trajectory bit-identity through a paged StreamContext.
-    let resident_traj = trajectory_bytes(
+    let resident_traj = trajectory_digest(
         &g,
         &StreamContext {
             graph: &g,
             neighbors: NeighborBackend::Resident(&nf),
         },
     );
-    let paged_traj = trajectory_bytes(
+    let paged_traj = trajectory_digest(
         &g,
         &StreamContext {
             graph: &g,
@@ -131,8 +120,7 @@ fn paged_digest() -> u64 {
         },
     );
     assert_eq!(
-        fnv1a(resident_traj.into_iter()),
-        fnv1a(paged_traj.iter().copied()),
+        resident_traj, paged_traj,
         "TGAT trajectory through the paged backend must match resident"
     );
     assert!(
@@ -142,49 +130,24 @@ fn paged_digest() -> u64 {
 
     drop(paged);
     let _ = std::fs::remove_dir_all(&dir);
-    fnv1a(pb.into_iter().chain(paged_traj))
+    let mut h = Fnv1a::new();
+    h.write_u64(paged_frontier);
+    h.write_u64(paged_traj);
+    h.finish()
 }
 
-/// Child-process worker: prints the digest. Skipped unless spawned below.
+/// Child-process worker; a no-op unless spawned by the driver below.
 #[test]
 fn paged_child_worker() {
-    if std::env::var("BENCHTEMP_PAGED_CHILD").is_err() {
-        return;
+    if child::is_child() {
+        child::report(format!("{:016x}", paged_digest()));
     }
-    println!("RESULT {:016x}", paged_digest());
 }
 
-fn run_child(threads: &str) -> String {
-    let exe = std::env::current_exe().expect("current test binary");
-    let mut cmd = Command::new(exe);
-    cmd.args(["paged_child_worker", "--exact", "--nocapture"])
-        .env("BENCHTEMP_PAGED_CHILD", "1")
-        .env("BENCHTEMP_THREADS", threads);
-    let out = cmd.output().expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "paged child (threads={threads}) failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .lines()
-        .find_map(|l| l.find("RESULT ").map(|at| l[at..].to_string()))
-        .unwrap_or_else(|| panic!("no RESULT line from child:\n{stdout}"))
-}
-
-/// 1-thread vs 4-thread children: the paged frontier and the paged
-/// training trajectory are one bit pattern regardless of worker count or
-/// eviction interleaving.
+/// 1-thread vs 4-thread (and sanitized) children: the paged frontier and
+/// the paged training trajectory are one bit pattern regardless of worker
+/// count or eviction interleaving.
 #[test]
 fn paged_backend_bit_identical_across_processes_and_threads() {
-    if std::env::var("BENCHTEMP_PAGED_CHILD").is_ok() {
-        return; // don't recurse inside a child process
-    }
-    let single = run_child("1");
-    let quad = run_child("4");
-    assert_eq!(
-        single, quad,
-        "paged sampling/training must not depend on thread count"
-    );
+    child::assert_bit_identical(&["paged_child_worker", "--exact", "--nocapture"]);
 }

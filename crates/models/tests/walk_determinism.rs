@@ -5,11 +5,11 @@
 //! that differed *between processes* even with identical seeds. The
 //! `no-hashmap-iteration-in-numeric-path` audit rule now bans that, and
 //! `position_counts` emits sorted keys via `BTreeMap`. This regression test
-//! proves the property the fix restores: two separate processes (fresh
-//! `RandomState` each) hash the drained feature stream to the same bits.
+//! proves the property the fix restores: separate processes (fresh
+//! `RandomState` each, via `benchtemp_util::child`) hash the drained
+//! feature stream to the same bits.
 
 use std::collections::BTreeMap;
-use std::process::Command;
 
 use benchtemp_core::pipeline::StreamContext;
 use benchtemp_graph::generators::GeneratorConfig;
@@ -17,17 +17,7 @@ use benchtemp_graph::neighbors::{NeighborFinder, SamplingStrategy};
 use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_models::walks::{anonymize, position_counts, sample_walks};
 use benchtemp_tensor::init;
-
-/// FNV-1a over the drained feature stream — endian-stable and
-/// dependency-free.
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+use benchtemp_util::child::{self, Fnv1a};
 
 /// The walk-feature pipeline a CAWN-style model runs per candidate edge,
 /// with the count maps drained in their iteration order — exactly the
@@ -40,7 +30,7 @@ fn walk_feature_digest() -> u64 {
         neighbors: NeighborBackend::Resident(&nf),
     };
     let mut rng = init::rng(5);
-    let mut bytes: Vec<u8> = Vec::new();
+    let mut h = Fnv1a::new();
     for ev in &g.events[g.num_events() - 50..] {
         let wu = sample_walks(
             &ctx,
@@ -64,59 +54,31 @@ fn walk_feature_digest() -> u64 {
         let cv = position_counts(&wv);
         // Drain in iteration order: sorted by construction after the fix.
         for (node, hits) in cu.iter().chain(cv.iter()) {
-            bytes.extend(node.to_le_bytes());
-            for h in hits {
-                bytes.extend(h.to_bits().to_le_bytes());
+            h.write_u64(*node as u64);
+            for &hit in hits {
+                h.write_f32(hit);
             }
             for f in anonymize(*node, &cu, &cv, 2, 4) {
-                bytes.extend(f.to_bits().to_le_bytes());
+                h.write_f32(f);
             }
         }
     }
-    fnv1a(bytes.into_iter())
+    h.finish()
 }
 
-/// Child-process worker: prints the digest. Skipped unless spawned below.
+/// Child-process worker; a no-op unless spawned by the driver below.
 #[test]
 fn walk_child_worker() {
-    if std::env::var("BENCHTEMP_WALK_CHILD").is_err() {
-        return;
+    if child::is_child() {
+        child::report(format!("{:016x}", walk_feature_digest()));
     }
-    println!("RESULT {:016x}", walk_feature_digest());
 }
 
-fn run_child() -> String {
-    let exe = std::env::current_exe().expect("current test binary");
-    let out = Command::new(exe)
-        .args(["walk_child_worker", "--exact", "--nocapture"])
-        .env("BENCHTEMP_WALK_CHILD", "1")
-        .output()
-        .expect("spawn child test process");
-    assert!(
-        out.status.success(),
-        "walk child failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    stdout
-        .lines()
-        .find_map(|l| l.find("RESULT ").map(|at| l[at..].to_string()))
-        .unwrap_or_else(|| panic!("no RESULT line from child:\n{stdout}"))
-}
-
-/// Two fresh processes — two fresh `RandomState`s — one bit pattern.
+/// Three fresh processes — three fresh `RandomState`s — one bit pattern.
 #[test]
 fn walk_features_bit_identical_across_processes() {
-    if std::env::var("BENCHTEMP_WALK_CHILD").is_ok() {
-        return; // don't recurse inside a child process
-    }
-    let a = run_child();
-    let b = run_child();
-    assert_eq!(
-        a, b,
-        "walk-feature emission order must not depend on RandomState"
-    );
+    let payload = child::assert_bit_identical(&["walk_child_worker", "--exact", "--nocapture"]);
     // And the in-process digest agrees too: the order is a property of the
     // data, not of the process.
-    assert_eq!(a, format!("RESULT {:016x}", walk_feature_digest()));
+    assert_eq!(payload, format!("{:016x}", walk_feature_digest()));
 }

@@ -13,6 +13,8 @@
 use std::io::{self, Read, Write};
 use std::path::Path;
 
+use benchtemp_util::Fnv1a;
+
 use crate::pager::PageId;
 
 const MAGIC: &[u8; 8] = b"BTMANIF1";
@@ -42,15 +44,6 @@ pub struct Manifest {
     pub free: Vec<PageId>,
     pub col_pages: Vec<Vec<PageId>>,
     pub user_blob: String,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
@@ -124,7 +117,7 @@ impl Manifest {
         }
         push_u64(&mut out, self.user_blob.len() as u64);
         out.extend_from_slice(self.user_blob.as_bytes());
-        let check = fnv1a(&out);
+        let check = Fnv1a::hash(&out);
         push_u64(&mut out, check);
         out
     }
@@ -138,7 +131,7 @@ impl Manifest {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().unwrap());
-        if fnv1a(body) != stored {
+        if Fnv1a::hash(body) != stored {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "manifest checksum mismatch",

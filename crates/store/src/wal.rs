@@ -14,6 +14,7 @@ use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use benchtemp_obs::counters::STORE_WAL_RECORDS;
+use benchtemp_util::Fnv1a;
 
 use crate::StoreEvent;
 
@@ -22,11 +23,7 @@ pub const WAL_RECORD_BYTES: usize = 24;
 
 /// FNV-1a over a byte slice, folded to 32 bits — the record checksum.
 fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = Fnv1a::hash(bytes);
     (h ^ (h >> 32)) as u32
 }
 
