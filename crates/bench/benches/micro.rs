@@ -43,7 +43,7 @@ fn bench_tensor() {
         let h = t.relu(h);
         let logits = t.matmul(h, w2v);
         let loss = t.bce_with_logits(logits, &targets);
-        black_box(t.backward(loss))
+        black_box(t.backward(loss, &[w1v, w2v]))
     });
 
     let q = init::randn(100, 32, 1.0, &mut rng);
@@ -57,7 +57,7 @@ fn bench_tensor() {
         let vv = t.leaf(v.clone());
         let out = t.grouped_attention(qv, kv, vv, 10, &mask);
         let loss = t.mean_all(out);
-        black_box(t.backward(loss))
+        black_box(t.backward(loss, &[qv, kv, vv]))
     });
 }
 

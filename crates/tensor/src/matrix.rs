@@ -215,10 +215,13 @@ impl Matrix {
         out
     }
 
-    /// `selfᵀ · rhs` without materializing the transpose.
+    /// `selfᵀ · rhs` without materializing the transpose — the weight
+    /// gradient `Xᵀ·g` of every matmul backward.
     ///
-    /// Partitioned over output rows (columns of `self`); the strided loads
-    /// of `self` are amortized by the same k-tiled microkernel as `matmul`.
+    /// k-outer: each worker owns a contiguous slab of output rows (columns
+    /// of `self`) and streams the rows of `self` and `rhs` once, a k-quad at
+    /// a time, folding each quad into every row of the cache-resident slab
+    /// (see `transpose_matmul_block_kernel` for the bit-identity argument).
     pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
@@ -231,9 +234,8 @@ impl Matrix {
             return out;
         }
         benchtemp_obs::counters::MATMUL_FLOPS.add(2 * (m * k * n) as u64);
-        let a_cols = self.cols;
-        run_rows(m, n, m * k * n, &mut out.data, |i, out_row| {
-            transpose_matmul_row_kernel(&self.data, a_cols, i, k, &rhs.data, n, out_row);
+        run_row_blocks(m, n, m * k * n, &mut out.data, |first, block| {
+            transpose_matmul_block_kernel(&self.data, m, first, &rhs.data, n, block);
         });
         out
     }
@@ -928,63 +930,72 @@ fn matmul_block_kernel(
     }
 }
 
-/// One output row of `Aᵀ·B` (row `i` of the result reads column `i` of `A`).
-/// Same k-tiling as [`matmul_row_kernel`]; the four strided `A` loads per
-/// pass amortize over a full contiguous sweep of the output row.
-#[inline]
-fn transpose_matmul_row_kernel(
+/// One slab of `Aᵀ·B` output rows, `first..first + block.len() / n`. `A` is
+/// k×`a_cols` and `B` is k×n, both row-major; output row `i` reads column
+/// `i` of `A`, so the slab's `A` operands for one k are the contiguous
+/// segment `A[k][first..]`.
+///
+/// k-outer: each k-quad loads four `A` segments and four `B` rows once and
+/// applies [`axpy4_lanes`] to every output row of the slab, which stays
+/// cache-resident across the sweep. Per output element the FP order is
+/// `acc += a0·b0 + a1·b1 + a2·b2 + a3·b3` per k-quad in ascending k, then
+/// the `k % 4` single-axpy tail — the same order as a per-row kernel that
+/// walks one output row through all of k. The order depends on neither the
+/// slab's start nor its height, so the thread partition cannot change bits.
+fn transpose_matmul_block_kernel(
     a: &[f32],
     a_cols: usize,
-    i: usize,
-    k: usize,
+    first: usize,
     b: &[f32],
     n: usize,
-    out_row: &mut [f32],
+    block: &mut [f32],
 ) {
-    out_row.fill(0.0);
+    block.fill(0.0);
+    let rows = block.len() / n;
+    let k = b.len() / n;
+    let a_seg = |kk: usize| &a[kk * a_cols + first..kk * a_cols + first + rows];
     let blocked = n / LANES * LANES;
     let mut kk = 0;
     while kk + 4 <= k {
-        let av = [
-            a[kk * a_cols + i],
-            a[(kk + 1) * a_cols + i],
-            a[(kk + 2) * a_cols + i],
-            a[(kk + 3) * a_cols + i],
-        ];
-        let b0 = &b[kk * n..kk * n + n];
-        let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
-        let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
-        let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
-        let mut j = 0;
-        while j < blocked {
-            let o: &mut [f32; LANES] = (&mut out_row[j..j + LANES]).try_into().unwrap();
-            axpy4_lanes(
-                o,
-                av,
-                b0[j..j + LANES].try_into().unwrap(),
-                b1[j..j + LANES].try_into().unwrap(),
-                b2[j..j + LANES].try_into().unwrap(),
-                b3[j..j + LANES].try_into().unwrap(),
-            );
-            j += LANES;
-        }
-        while j < n {
-            out_row[j] += av[0] * b0[j] + av[1] * b1[j] + av[2] * b2[j] + av[3] * b3[j];
-            j += 1;
+        let (a0, a1, a2, a3) = (a_seg(kk), a_seg(kk + 1), a_seg(kk + 2), a_seg(kk + 3));
+        let bs = &b[kk * n..(kk + 4) * n];
+        let (b0, b1) = (&bs[..n], &bs[n..2 * n]);
+        let (b2, b3) = (&bs[2 * n..3 * n], &bs[3 * n..4 * n]);
+        for (r, out_row) in block.chunks_exact_mut(n).enumerate() {
+            let av = [a0[r], a1[r], a2[r], a3[r]];
+            let mut j = 0;
+            while j < blocked {
+                let o: &mut [f32; LANES] = (&mut out_row[j..j + LANES]).try_into().unwrap();
+                axpy4_lanes(
+                    o,
+                    av,
+                    b0[j..j + LANES].try_into().unwrap(),
+                    b1[j..j + LANES].try_into().unwrap(),
+                    b2[j..j + LANES].try_into().unwrap(),
+                    b3[j..j + LANES].try_into().unwrap(),
+                );
+                j += LANES;
+            }
+            while j < n {
+                out_row[j] += av[0] * b0[j] + av[1] * b1[j] + av[2] * b2[j] + av[3] * b3[j];
+                j += 1;
+            }
         }
         kk += 4;
     }
     while kk < k {
-        let a0 = a[kk * a_cols + i];
-        let b0 = &b[kk * n..kk * n + n];
-        let mut j = 0;
-        while j < blocked {
-            let o: &mut [f32; LANES] = (&mut out_row[j..j + LANES]).try_into().unwrap();
-            axpy_lanes(o, a0, b0[j..j + LANES].try_into().unwrap());
-            j += LANES;
-        }
-        for (o, &v0) in out_row[j..].iter_mut().zip(&b0[j..]) {
-            *o += a0 * v0;
+        let a0 = a_seg(kk);
+        let b0 = &b[kk * n..(kk + 1) * n];
+        for (out_row, &av) in block.chunks_exact_mut(n).zip(a0) {
+            let mut j = 0;
+            while j < blocked {
+                let o: &mut [f32; LANES] = (&mut out_row[j..j + LANES]).try_into().unwrap();
+                axpy_lanes(o, av, b0[j..j + LANES].try_into().unwrap());
+                j += LANES;
+            }
+            for (o, &v0) in out_row[j..].iter_mut().zip(&b0[j..]) {
+                *o += av * v0;
+            }
         }
         kk += 1;
     }
@@ -1221,6 +1232,114 @@ mod tests {
                 a.matmul_transpose(&b.transpose()).approx_eq(&want, 1e-4),
                 "matmul_transpose {m}x{k}x{n}"
             );
+        }
+    }
+
+    /// The per-row `Aᵀ·B` kernel the k-outer slab kernel replaced, kept as
+    /// the bit-exact oracle: output row `i` walks all of k, k-quads first
+    /// (four strided `A` loads per quad), then the `k % 4` tail.
+    fn transpose_matmul_row_oracle(a: &Matrix, i: usize, b: &Matrix, out_row: &mut [f32]) {
+        let (k, a_cols, n) = (a.rows(), a.cols(), b.cols());
+        let (a, b) = (a.as_slice(), b.as_slice());
+        out_row.fill(0.0);
+        let blocked = n / LANES * LANES;
+        let mut kk = 0;
+        while kk + 4 <= k {
+            let av = [
+                a[kk * a_cols + i],
+                a[(kk + 1) * a_cols + i],
+                a[(kk + 2) * a_cols + i],
+                a[(kk + 3) * a_cols + i],
+            ];
+            let b0 = &b[kk * n..kk * n + n];
+            let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
+            let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
+            let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
+            let mut j = 0;
+            while j < blocked {
+                let o: &mut [f32; LANES] = (&mut out_row[j..j + LANES]).try_into().unwrap();
+                axpy4_lanes(
+                    o,
+                    av,
+                    b0[j..j + LANES].try_into().unwrap(),
+                    b1[j..j + LANES].try_into().unwrap(),
+                    b2[j..j + LANES].try_into().unwrap(),
+                    b3[j..j + LANES].try_into().unwrap(),
+                );
+                j += LANES;
+            }
+            while j < n {
+                out_row[j] += av[0] * b0[j] + av[1] * b1[j] + av[2] * b2[j] + av[3] * b3[j];
+                j += 1;
+            }
+            kk += 4;
+        }
+        while kk < k {
+            let a0 = a[kk * a_cols + i];
+            let b0 = &b[kk * n..kk * n + n];
+            let mut j = 0;
+            while j < blocked {
+                let o: &mut [f32; LANES] = (&mut out_row[j..j + LANES]).try_into().unwrap();
+                axpy_lanes(o, a0, b0[j..j + LANES].try_into().unwrap());
+                j += LANES;
+            }
+            for (o, &v0) in out_row[j..].iter_mut().zip(&b0[j..]) {
+                *o += a0 * v0;
+            }
+            kk += 1;
+        }
+    }
+
+    fn transpose_matmul_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.cols(), b.cols());
+        for i in 0..a.cols() {
+            transpose_matmul_row_oracle(a, i, b, out.row_mut(i));
+        }
+        out
+    }
+
+    fn bits(m: &[f32]) -> Vec<u32> {
+        m.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn transpose_matmul_matches_per_row_oracle_bitwise() {
+        // k straddles the quad unroll (k % 4 ∈ {0, 1, 3}) up to a TGAT-sized
+        // batch; n straddles the lane block; m = 1 is the single-row slab.
+        for &k in &[1, 3, 4, 7, 10800] {
+            for &n in &[1, 7, 8, 48] {
+                for &m in &[1, 5, 13] {
+                    let a = pseudo_random(k, m, (k * 131 + n * 7 + m) as u64);
+                    let b = pseudo_random(k, n, (k * 17 + n * 3 + m) as u64);
+                    assert_eq!(
+                        bits(a.transpose_matmul(&b).as_slice()),
+                        bits(transpose_matmul_oracle(&a, &b).as_slice()),
+                        "transpose_matmul {k}x{m}ᵀ · {k}x{n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_matmul_slab_start_cannot_change_bits() {
+        // Every thread partition hands the kernel a slab starting at some
+        // row `first`; each slab must reproduce the oracle rows exactly.
+        let (k, m) = (203, 29);
+        for &n in &[1, 7, 8, 48] {
+            let a = pseudo_random(k, m, 5 + n as u64);
+            let b = pseudo_random(k, n, 9 + n as u64);
+            let want = transpose_matmul_oracle(&a, &b);
+            for &(first, rows) in &[(1, 1), (3, 4), (6, 7), (17, 12), (0, 29)] {
+                let mut block = vec![f32::NAN; rows * n];
+                transpose_matmul_block_kernel(a.as_slice(), m, first, b.as_slice(), n, &mut block);
+                assert_eq!(
+                    bits(&block),
+                    bits(&want.as_slice()[first * n..(first + rows) * n]),
+                    "slab rows {first}..{} at n = {n}",
+                    first + rows
+                );
+            }
         }
     }
 

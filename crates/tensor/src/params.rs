@@ -209,13 +209,21 @@ impl<'s> Graph<'s> {
 
     /// Backward pass from a scalar loss; returns gradients for every bound
     /// parameter (zero matrices for parameters the loss never touched).
+    /// The bound parameters are the tape's `wrt` set, so no gradient the
+    /// optimizer does not read is computed, and each parameter gradient is
+    /// moved out rather than copied.
     pub fn backward(&mut self, loss: Var) -> Vec<(ParamId, Matrix)> {
-        let grads = self.tape.tape.backward(loss);
-        let mut out = Vec::new();
-        for (i, slot) in self.tape.bound.iter().enumerate() {
-            if let Some(var) = slot {
-                let shape = self.tape.tape.shape(*var);
-                out.push((ParamId(i), grads.get_or_zero(*var, shape)));
+        let PooledTape { tape, bound } = &mut self.tape;
+        let wrt: Vec<Var> = bound.iter().flatten().copied().collect();
+        let mut grads = tape.backward(loss, &wrt);
+        let mut out = Vec::with_capacity(wrt.len());
+        for (i, slot) in bound.iter().enumerate() {
+            if let Some(var) = *slot {
+                let grad = grads.take(var).unwrap_or_else(|| {
+                    let (r, c) = tape.shape(var);
+                    Matrix::zeros(r, c)
+                });
+                out.push((ParamId(i), grad));
             }
         }
         out

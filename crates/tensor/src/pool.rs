@@ -134,15 +134,25 @@ impl ThreadPool {
         });
         // With 1 effective worker everything runs inline; spawn no threads.
         // Otherwise spawn exactly `workers`: the caller blocks while a batch
-        // runs, so the workers own all the compute.
+        // runs, so the workers own all the compute. Return only once every
+        // worker is running: the runtime's per-thread start-up allocates on
+        // the new thread, and left asynchronous it would land inside
+        // whatever the caller measures next (the zero-allocation window of
+        // `tests/alloc_free_forward.rs`).
         if workers > 1 {
+            let started = Arc::new(std::sync::Barrier::new(workers + 1));
             for i in 0..workers {
                 let q = Arc::clone(&queue);
+                let started = Arc::clone(&started);
                 std::thread::Builder::new()
                     .name(format!("benchtemp-pool-{i}"))
-                    .spawn(move || worker_loop(q))
+                    .spawn(move || {
+                        started.wait();
+                        worker_loop(q)
+                    })
                     .expect("spawn pool worker");
             }
+            started.wait();
         }
         Self {
             queue,

@@ -2,9 +2,10 @@
 //!
 //! A [`Tape`] records every operation as a node; [`Var`] is a copyable handle
 //! into the arena. Calling [`Tape::backward`] seeds the gradient of a scalar
-//! output and walks the tape in reverse, accumulating gradients into every
-//! node. Parameters are ordinary leaves whose gradients are read back by the
-//! optimizer after the backward pass.
+//! output and walks the tape in reverse, accumulating gradients only into
+//! the nodes that lie on a path from the requested `wrt` leaves to the
+//! output. Parameters are ordinary leaves: [`crate::Graph::backward`] asks
+//! for exactly the bound ones, and the optimizer reads those gradients.
 //!
 //! The design trades generality for auditability: each op's backward rule is
 //! a hand-derived match arm, and every rule is checked against finite
@@ -123,6 +124,54 @@ enum Op {
         labels: Vec<usize>,
         probs: Matrix,
     },
+}
+
+impl Op {
+    /// Indices of the nodes this op reads — always lower than the node's
+    /// own index, which is what lets [`Tape::backward`] mark liveness in one
+    /// forward sweep.
+    fn parents(&self) -> impl Iterator<Item = usize> {
+        let p: [Option<usize>; 3] = match self {
+            Op::Leaf => [None; 3],
+            Op::Neg(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Transpose(a)
+            | Op::Sigmoid(a)
+            | Op::Tanh(a)
+            | Op::Relu(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::Cos(a)
+            | Op::SoftmaxRows(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::MeanRows(a)
+            | Op::SumRows(a)
+            | Op::RowSums(a)
+            | Op::GatherRows(a, _)
+            | Op::SliceCols(a, _, _)
+            | Op::Dropout(a, _)
+            | Op::SliceRows(a, _, _)
+            | Op::BceWithLogits { logits: a, .. }
+            | Op::SoftmaxCrossEntropy { logits: a, .. } => [Some(*a), None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::MatMul(a, b)
+            | Op::AddRowBroadcast(a, b)
+            | Op::MulColBroadcast(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::ConcatRows(a, b)
+            | Op::TimeEncodeFused {
+                phase: a, omega: b, ..
+            } => [Some(*a), Some(*b), None],
+            Op::GroupedAttention { q, k, v, .. }
+            | Op::MultiHeadGroupedAttention { q, k, v, .. } => [Some(*q), Some(*k), Some(*v)],
+            Op::LinearAffine { x, w, b, .. } => [Some(*b), Some(*x), Some(*w)],
+        };
+        p.into_iter().flatten()
+    }
 }
 
 struct Node {
@@ -1020,92 +1069,120 @@ impl Tape {
 
     // ---- backward ------------------------------------------------------------
 
-    /// Run reverse-mode differentiation from a scalar (1×1) output.
-    /// Returns per-node gradients, queryable via [`Gradients::get`].
-    pub fn backward(&mut self, output: Var) -> Gradients {
+    /// Reverse-mode differentiation from a scalar (1×1) output, computing
+    /// only what the gradients of `wrt` need.
+    ///
+    /// A node is *live* if it is in `wrt` or any of its parents is live;
+    /// parents always have lower indices, so one forward sweep marks them.
+    /// The reverse walk visits live nodes only, and each backward rule
+    /// computes a parent's delta only when that parent is live — so the
+    /// input gradient of a projection over a non-trainable leaf is never
+    /// formed. Every child of a live node is live, so each live accumulator
+    /// receives the same contributions, in the same descending-index order,
+    /// as a walk over the whole tape: the `wrt` gradients are bit-identical
+    /// to it. A gradient is dropped once its node has been walked unless
+    /// that node is in `wrt`; a `wrt` node the output does not depend on
+    /// gets `None`.
+    pub fn backward(&mut self, output: Var, wrt: &[Var]) -> Gradients {
         assert_eq!(
             self.nodes[output.0].value.shape(),
             (1, 1),
             "backward: output must be a scalar (1x1) loss"
         );
-        let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[output.0] = Some(Matrix::full(1, 1, 1.0));
-
-        for i in (0..=output.0).rev() {
-            let Some(g) = grads[i].take() else { continue };
-            // Reborrow pattern: compute parent contributions from node i.
-            self.accumulate(i, &g, &mut grads);
-            grads[i] = Some(g);
+        let n = self.nodes.len();
+        let mut keep = vec![false; n];
+        for v in wrt {
+            keep[v.0] = true;
         }
-        // Sanitizer: a NaN/Inf gradient anywhere poisons the next optimizer
-        // step silently; fail loudly at the source instead.
-        if crate::sanitize::enabled() {
-            for (i, g) in grads.iter().enumerate() {
-                if let Some(m) = g {
-                    if let Some(bad) = m.as_slice().iter().find(|x| !x.is_finite()) {
-                        panic!(
-                            "sanitize[tape]: non-finite gradient {bad} at node {i} \
-                             (shape {:?}) after backward",
-                            m.shape(),
-                        );
-                    }
+        let mut live = keep.clone();
+        for i in 0..=output.0 {
+            if !live[i] {
+                live[i] = self.nodes[i].op.parents().any(|p| live[p]);
+            }
+        }
+        let mut grads: Vec<Option<Matrix>> = (0..n).map(|_| None).collect();
+        if live[output.0] {
+            grads[output.0] = Some(Matrix::full(1, 1, 1.0));
+        }
+        let sanitize = crate::sanitize::enabled();
+        let mut acc = Accum {
+            live: &live,
+            grads: &mut grads,
+        };
+        for i in (0..=output.0).rev() {
+            // Only live nodes ever receive a gradient.
+            let Some(g) = acc.grads[i].take() else {
+                continue;
+            };
+            // Sanitizer: a NaN/Inf gradient poisons the next optimizer step
+            // silently; fail loudly at the node that carries it. Checked as
+            // the walk consumes each gradient, since intermediate gradients
+            // are not kept to the end.
+            if sanitize {
+                if let Some(bad) = g.as_slice().iter().find(|x| !x.is_finite()) {
+                    panic!(
+                        "sanitize[tape]: non-finite gradient {bad} at node {i} \
+                         (shape {:?}) during backward",
+                        g.shape(),
+                    );
                 }
+            }
+            self.accumulate(i, &g, &mut acc);
+            if keep[i] {
+                acc.grads[i] = Some(g);
             }
         }
         Gradients { grads }
     }
 
-    fn accumulate(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
+    fn accumulate(&self, i: usize, g: &Matrix, acc: &mut Accum<'_>) {
         let node = &self.nodes[i];
-        let mut bump = |idx: usize, delta: Matrix| match &mut grads[idx] {
-            Some(acc) => acc.add_assign(&delta),
-            slot @ None => *slot = Some(delta),
-        };
         match &node.op {
             Op::Leaf => {}
             Op::Add(a, b) => {
-                bump(*a, g.clone());
-                bump(*b, g.clone());
+                acc.bump(*a, || g.clone());
+                acc.bump(*b, || g.clone());
             }
             Op::Sub(a, b) => {
-                bump(*a, g.clone());
-                bump(*b, g.map(|x| -x));
+                acc.bump(*a, || g.clone());
+                acc.bump(*b, || g.map(|x| -x));
             }
             Op::Mul(a, b) => {
-                bump(*a, g.zip(&self.nodes[*b].value, |gg, bb| gg * bb));
-                bump(*b, g.zip(&self.nodes[*a].value, |gg, aa| gg * aa));
+                acc.bump(*a, || g.zip(&self.nodes[*b].value, |gg, bb| gg * bb));
+                acc.bump(*b, || g.zip(&self.nodes[*a].value, |gg, aa| gg * aa));
             }
-            Op::Neg(a) => bump(*a, g.map(|x| -x)),
-            Op::Scale(a, s) => bump(*a, g.map(|x| x * s)),
-            Op::AddScalar(a) => bump(*a, g.clone()),
+            Op::Neg(a) => acc.bump(*a, || g.map(|x| -x)),
+            Op::Scale(a, s) => acc.bump(*a, || g.map(|x| x * s)),
+            Op::AddScalar(a) => acc.bump(*a, || g.clone()),
             Op::MatMul(a, b) => {
-                bump(*a, g.matmul_transpose(&self.nodes[*b].value));
-                bump(*b, self.nodes[*a].value.transpose_matmul(g));
+                acc.bump(*a, || g.matmul_transpose(&self.nodes[*b].value));
+                acc.bump(*b, || self.nodes[*a].value.transpose_matmul(g));
             }
-            Op::Transpose(a) => bump(*a, g.transpose()),
+            Op::Transpose(a) => acc.bump(*a, || g.transpose()),
             Op::Sigmoid(a) => {
-                bump(*a, g.zip(&node.value, |gg, y| gg * y * (1.0 - y)));
+                acc.bump(*a, || g.zip(&node.value, |gg, y| gg * y * (1.0 - y)));
             }
             Op::Tanh(a) => {
-                bump(*a, g.zip(&node.value, |gg, y| gg * (1.0 - y * y)));
+                acc.bump(*a, || g.zip(&node.value, |gg, y| gg * (1.0 - y * y)));
             }
             Op::Relu(a) => {
-                bump(
-                    *a,
+                acc.bump(*a, || {
                     g.zip(
                         &self.nodes[*a].value,
                         |gg, x| if x > 0.0 { gg } else { 0.0 },
-                    ),
-                );
+                    )
+                });
             }
-            Op::Exp(a) => bump(*a, g.zip(&node.value, |gg, y| gg * y)),
+            Op::Exp(a) => acc.bump(*a, || g.zip(&node.value, |gg, y| gg * y)),
             Op::Ln(a) => {
-                bump(*a, g.zip(&self.nodes[*a].value, |gg, x| gg / x.max(1e-12)));
+                acc.bump(*a, || {
+                    g.zip(&self.nodes[*a].value, |gg, x| gg / x.max(1e-12))
+                });
             }
             Op::Cos(a) => {
-                bump(*a, g.zip(&self.nodes[*a].value, |gg, x| -gg * x.sin()));
+                acc.bump(*a, || g.zip(&self.nodes[*a].value, |gg, x| -gg * x.sin()));
             }
-            Op::SoftmaxRows(a) => {
+            Op::SoftmaxRows(a) => acc.bump(*a, || {
                 let y = &node.value;
                 let mut dx = Matrix::zeros(y.rows(), y.cols());
                 for r in 0..y.rows() {
@@ -1119,17 +1196,17 @@ impl Tape {
                         dx.set(r, c, y.get(r, c) * (g.get(r, c) - dot));
                     }
                 }
-                bump(*a, dx);
-            }
-            Op::SumAll(a) => {
+                dx
+            }),
+            Op::SumAll(a) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
-                bump(*a, Matrix::full(r, c, g.scalar()));
-            }
-            Op::MeanAll(a) => {
+                Matrix::full(r, c, g.scalar())
+            }),
+            Op::MeanAll(a) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
-                bump(*a, Matrix::full(r, c, g.scalar() / (r * c) as f32));
-            }
-            Op::MeanRows(a) => {
+                Matrix::full(r, c, g.scalar() / (r * c) as f32)
+            }),
+            Op::MeanRows(a) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
                 let inv = 1.0 / r.max(1) as f32;
                 let mut dx = Matrix::zeros(r, c);
@@ -1138,80 +1215,90 @@ impl Tape {
                         dx.set(rr, cc, g.get(0, cc) * inv);
                     }
                 }
-                bump(*a, dx);
-            }
-            Op::SumRows(a) => {
+                dx
+            }),
+            Op::SumRows(a) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
                 let mut dx = Matrix::zeros(r, c);
                 for rr in 0..r {
                     dx.row_mut(rr).copy_from_slice(g.row(0));
                 }
-                bump(*a, dx);
-            }
-            Op::RowSums(a) => {
+                dx
+            }),
+            Op::RowSums(a) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
                 let mut dx = Matrix::zeros(r, c);
                 for rr in 0..r {
                     let gr = g.get(rr, 0);
                     dx.row_mut(rr).iter_mut().for_each(|x| *x = gr);
                 }
-                bump(*a, dx);
-            }
+                dx
+            }),
             Op::AddRowBroadcast(a, b) => {
-                bump(*a, g.clone());
-                let mut db = Matrix::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
-                        *o += x;
+                acc.bump(*a, || g.clone());
+                acc.bump(*b, || {
+                    let mut db = Matrix::zeros(1, g.cols());
+                    for r in 0..g.rows() {
+                        for (o, &x) in db.row_mut(0).iter_mut().zip(g.row(r)) {
+                            *o += x;
+                        }
                     }
-                }
-                bump(*b, db);
+                    db
+                });
             }
             Op::MulColBroadcast(a, c) => {
                 let cm = &self.nodes[*c].value;
                 let am = &self.nodes[*a].value;
-                let mut da = g.clone();
-                let mut dc = Matrix::zeros(cm.rows(), 1);
-                for r in 0..g.rows() {
-                    let s = cm.get(r, 0);
-                    da.row_mut(r).iter_mut().for_each(|x| *x *= s);
-                    let dot: f32 = g
-                        .row(r)
-                        .iter()
-                        .zip(am.row(r))
-                        .map(|(&gg, &aa)| gg * aa)
-                        .sum();
-                    dc.set(r, 0, dot);
-                }
-                bump(*a, da);
-                bump(*c, dc);
+                acc.bump(*a, || {
+                    let mut da = g.clone();
+                    for r in 0..g.rows() {
+                        let s = cm.get(r, 0);
+                        da.row_mut(r).iter_mut().for_each(|x| *x *= s);
+                    }
+                    da
+                });
+                acc.bump(*c, || {
+                    let mut dc = Matrix::zeros(cm.rows(), 1);
+                    for r in 0..g.rows() {
+                        let dot: f32 = g
+                            .row(r)
+                            .iter()
+                            .zip(am.row(r))
+                            .map(|(&gg, &aa)| gg * aa)
+                            .sum();
+                        dc.set(r, 0, dot);
+                    }
+                    dc
+                });
             }
             Op::ConcatCols(a, b) => {
                 let ac = self.nodes[*a].value.cols();
-                let bc = self.nodes[*b].value.cols();
-                let mut da = Matrix::zeros(g.rows(), ac);
-                let mut db = Matrix::zeros(g.rows(), bc);
-                for r in 0..g.rows() {
-                    da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
-                    db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
-                }
-                bump(*a, da);
-                bump(*b, db);
+                acc.bump(*a, || {
+                    let mut da = Matrix::zeros(g.rows(), ac);
+                    for r in 0..g.rows() {
+                        da.row_mut(r).copy_from_slice(&g.row(r)[..ac]);
+                    }
+                    da
+                });
+                acc.bump(*b, || {
+                    let mut db = Matrix::zeros(g.rows(), g.cols() - ac);
+                    for r in 0..g.rows() {
+                        db.row_mut(r).copy_from_slice(&g.row(r)[ac..]);
+                    }
+                    db
+                });
             }
             Op::ConcatRows(a, b) => {
                 let ar = self.nodes[*a].value.rows();
-                let mut da = Matrix::zeros(ar, g.cols());
-                let mut db = Matrix::zeros(g.rows() - ar, g.cols());
-                for r in 0..ar {
-                    da.row_mut(r).copy_from_slice(g.row(r));
-                }
-                for r in ar..g.rows() {
-                    db.row_mut(r - ar).copy_from_slice(g.row(r));
-                }
-                bump(*a, da);
-                bump(*b, db);
+                let split = ar * g.cols();
+                acc.bump(*a, || {
+                    Matrix::from_vec(ar, g.cols(), g.as_slice()[..split].to_vec())
+                });
+                acc.bump(*b, || {
+                    Matrix::from_vec(g.rows() - ar, g.cols(), g.as_slice()[split..].to_vec())
+                });
             }
-            Op::GatherRows(a, indices) => {
+            Op::GatherRows(a, indices) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
                 let mut dx = Matrix::zeros(r, c);
                 for (gr, &src) in indices.iter().enumerate() {
@@ -1219,29 +1306,29 @@ impl Tape {
                         *o += x;
                     }
                 }
-                bump(*a, dx);
-            }
-            Op::SliceCols(a, start, _end) => {
+                dx
+            }),
+            Op::SliceCols(a, start, _end) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
                 let mut dx = Matrix::zeros(r, c);
                 for rr in 0..r {
                     dx.row_mut(rr)[*start..*start + g.cols()].copy_from_slice(g.row(rr));
                 }
-                bump(*a, dx);
-            }
-            Op::SliceRows(a, start, _end) => {
+                dx
+            }),
+            Op::SliceRows(a, start, _end) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
                 let mut dx = Matrix::zeros(r, c);
                 dx.as_mut_slice()[*start * c..*start * c + g.len()].copy_from_slice(g.as_slice());
-                bump(*a, dx);
-            }
-            Op::Dropout(a, mask) => {
+                dx
+            }),
+            Op::Dropout(a, mask) => acc.bump(*a, || {
                 let mut dx = g.clone();
                 for (o, &mk) in dx.as_mut_slice().iter_mut().zip(mask.iter()) {
                     *o *= mk;
                 }
-                bump(*a, dx);
-            }
+                dx
+            }),
             Op::GroupedAttention {
                 q,
                 k,
@@ -1296,9 +1383,9 @@ impl Tape {
                         }
                     }
                 }
-                bump(*q, dq);
-                bump(*k, dk);
-                bump(*v, dv);
+                acc.bump(*q, || dq);
+                acc.bump(*k, || dk);
+                acc.bump(*v, || dv);
             }
             Op::MultiHeadGroupedAttention {
                 q,
@@ -1374,9 +1461,9 @@ impl Tape {
                         }
                     }
                 }
-                bump(*q, dq);
-                bump(*k, dk);
-                bump(*v, dv);
+                acc.bump(*q, || dq);
+                acc.bump(*k, || dk);
+                acc.bump(*v, || dv);
             }
             Op::LinearAffine { x, w, b, act } => {
                 let xm = &self.nodes[*x].value;
@@ -1426,15 +1513,17 @@ impl Tape {
                 let gp: &Matrix = gp_owned.as_ref().unwrap_or(g);
                 // Bias first: the unfused reverse walk reaches the broadcast
                 // node before the matmul node. Same column-sum loop order.
-                let mut db = Matrix::zeros(1, n);
-                for r in 0..m {
-                    for (o, &v) in db.row_mut(0).iter_mut().zip(gp.row(r)) {
-                        *o += v;
+                acc.bump(*b, || {
+                    let mut db = Matrix::zeros(1, n);
+                    for r in 0..m {
+                        for (o, &v) in db.row_mut(0).iter_mut().zip(gp.row(r)) {
+                            *o += v;
+                        }
                     }
-                }
-                bump(*b, db);
-                bump(*x, gp.matmul_transpose(wm));
-                bump(*w, xm.transpose_matmul(gp));
+                    db
+                });
+                acc.bump(*x, || gp.matmul_transpose(wm));
+                acc.bump(*w, || xm.transpose_matmul(gp));
             }
             Op::TimeEncodeFused { omega, phase, dts } => {
                 let om = &self.nodes[*omega].value;
@@ -1460,32 +1549,33 @@ impl Tape {
                 // Phase first (broadcast node precedes the matmul node in
                 // the unfused reverse walk), then ω through the exact
                 // `transpose_matmul` kernel the unfused matmul backward
-                // uses. The Δt column is a non-trainable leaf in the
-                // unfused chain, so its gradient is never queried and the
-                // fused op skips computing it.
-                let mut dph = Matrix::zeros(1, d);
-                for r in 0..n {
-                    for (o, &v) in dph.row_mut(0).iter_mut().zip(gs.row(r)) {
-                        *o += v;
+                // uses. The Δt column is not a tape node, so it has no
+                // gradient to compute.
+                acc.bump(*phase, || {
+                    let mut dph = Matrix::zeros(1, d);
+                    for r in 0..n {
+                        for (o, &v) in dph.row_mut(0).iter_mut().zip(gs.row(r)) {
+                            *o += v;
+                        }
                     }
-                }
-                bump(*phase, dph);
-                bump(*omega, dts.transpose_matmul(&gs));
+                    dph
+                });
+                acc.bump(*omega, || dts.transpose_matmul(&gs));
             }
-            Op::BceWithLogits { logits, targets } => {
+            Op::BceWithLogits { logits, targets } => acc.bump(*logits, || {
                 let lm = &self.nodes[*logits].value;
                 let inv = g.scalar() / targets.len().max(1) as f32;
                 let mut dx = Matrix::zeros(lm.rows(), 1);
                 for (r, &y) in targets.iter().enumerate() {
                     dx.set(r, 0, (stable_sigmoid(lm.get(r, 0)) - y) * inv);
                 }
-                bump(*logits, dx);
-            }
+                dx
+            }),
             Op::SoftmaxCrossEntropy {
                 logits,
                 labels,
                 probs,
-            } => {
+            } => acc.bump(*logits, || {
                 let inv = g.scalar() / labels.len().max(1) as f32;
                 let mut dx = probs.clone();
                 for (r, &y) in labels.iter().enumerate() {
@@ -1493,28 +1583,50 @@ impl Tape {
                     dx.set(r, y, v);
                 }
                 dx.as_mut_slice().iter_mut().for_each(|x| *x *= inv);
-                bump(*logits, dx);
-            }
+                dx
+            }),
         }
     }
 }
 
-/// Per-node gradients produced by [`Tape::backward`].
+/// The reverse walk's per-node gradient slots, gated by the liveness mask
+/// of [`Tape::backward`].
+struct Accum<'a> {
+    live: &'a [bool],
+    grads: &'a mut [Option<Matrix>],
+}
+
+impl Accum<'_> {
+    /// Add `delta()` into node `idx`'s gradient. The delta is computed only
+    /// when `idx` is live — a gradient nothing in `wrt` reads costs nothing.
+    fn bump(&mut self, idx: usize, delta: impl FnOnce() -> Matrix) {
+        if !self.live[idx] {
+            return;
+        }
+        let delta = delta();
+        match &mut self.grads[idx] {
+            Some(acc) => acc.add_assign(&delta),
+            slot @ None => *slot = Some(delta),
+        }
+    }
+}
+
+/// The `wrt` gradients produced by [`Tape::backward`].
 pub struct Gradients {
     grads: Vec<Option<Matrix>>,
 }
 
 impl Gradients {
-    /// Gradient of the loss w.r.t. `v`; `None` if `v` did not influence it.
+    /// Gradient of the loss w.r.t. `v`; `None` if `v` was not in `wrt` or
+    /// did not influence the loss.
     pub fn get(&self, v: Var) -> Option<&Matrix> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
 
-    /// Gradient of the loss w.r.t. `v`, or a zero matrix of the given shape.
-    pub fn get_or_zero(&self, v: Var, shape: (usize, usize)) -> Matrix {
-        self.get(v)
-            .cloned()
-            .unwrap_or_else(|| Matrix::zeros(shape.0, shape.1))
+    /// Move the gradient w.r.t. `v` out; `None` under the same conditions
+    /// as [`Gradients::get`] (and on a second take).
+    pub fn take(&mut self, v: Var) -> Option<Matrix> {
+        self.grads.get_mut(v.0).and_then(Option::take)
     }
 }
 
@@ -1792,9 +1904,31 @@ mod sanitize_tests {
         let x = t.leaf(Matrix::full(1, 1, 200.0));
         let y = t.exp(x);
         let loss = t.sum_all(y);
-        let r = catch_unwind(AssertUnwindSafe(|| t.backward(loss)));
+        let r = catch_unwind(AssertUnwindSafe(|| t.backward(loss, &[x])));
         crate::sanitize::set_forced(None);
         assert!(r.is_err(), "Inf gradient must trip the sanitizer");
+    }
+
+    #[test]
+    fn backward_rejects_non_finite_intermediate_gradient() {
+        let _serial = forced_on();
+        let mut t = Tape::new();
+        // w ≤ 0, so relu blocks the gradient and w's own gradient is a
+        // finite 0 — but the intermediate relu node on the path to w gets
+        // g·exp(200) = Inf. That node's gradient is dropped once walked, so
+        // only the check at consumption can see it.
+        let w = t.leaf(Matrix::full(1, 1, -1.0));
+        let r = t.relu(w);
+        let c = t.leaf(Matrix::full(1, 1, 200.0));
+        let e = t.exp(c);
+        let y = t.mul(r, e);
+        let loss = t.sum_all(y);
+        let res = catch_unwind(AssertUnwindSafe(|| t.backward(loss, &[w])));
+        crate::sanitize::set_forced(None);
+        assert!(
+            res.is_err(),
+            "Inf on an intermediate node must trip the sanitizer"
+        );
     }
 
     #[test]
@@ -1804,7 +1938,7 @@ mod sanitize_tests {
         let x = t.leaf(Matrix::full(3, 2, 0.5));
         let y = t.tanh(x);
         let loss = t.mean_all(y);
-        let grads = t.backward(loss);
+        let grads = t.backward(loss, &[x]);
         assert!(grads.get(x).is_some());
         t.reset();
         crate::sanitize::set_forced(None);

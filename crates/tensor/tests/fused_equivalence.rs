@@ -37,7 +37,7 @@ fn run(leaves: Vec<Matrix>, build: impl FnOnce(&mut Tape, &[Var]) -> Var) -> Vec
     let vars: Vec<Var> = leaves.into_iter().map(|m| t.leaf(m)).collect();
     let y = build(&mut t, &vars);
     let loss = t.mean_all(y);
-    let grads = t.backward(loss);
+    let grads = t.backward(loss, &vars);
     let mut out = vec![bits(t.value(y))];
     out.extend(
         vars.iter()

@@ -15,10 +15,15 @@ fn gradcheck(name: &str, inputs: &[Matrix], build: &Builder, tol: f32) {
     // Analytic gradients.
     let mut tape = Tape::new();
     let (vars, loss) = build(&mut tape, inputs);
-    let grads = tape.backward(loss);
+    let mut grads = tape.backward(loss, &vars);
     let analytic: Vec<Matrix> = vars
         .iter()
-        .map(|&v| grads.get_or_zero(v, tape.shape(v)))
+        .map(|&v| {
+            grads.take(v).unwrap_or_else(|| {
+                let (r, c) = tape.shape(v);
+                Matrix::zeros(r, c)
+            })
+        })
         .collect();
 
     // Finite differences (f64-friendly epsilon for f32 math).
@@ -336,7 +341,7 @@ fn grad_reused_variable_accumulates() {
     let xv = tape.leaf(x.clone());
     let prod = tape.mul(xv, xv);
     let loss = tape.sum_all(prod);
-    let grads = tape.backward(loss);
+    let grads = tape.backward(loss, &[xv]);
     let g = grads.get(xv).unwrap();
     let expected = x.map(|v| 2.0 * v);
     assert!(g.approx_eq(&expected, 1e-5), "grad of x·x should be 2x");
@@ -348,7 +353,7 @@ fn grad_untouched_leaf_is_none() {
     let a = tape.leaf(Matrix::full(1, 1, 1.0));
     let b = tape.leaf(Matrix::full(1, 1, 2.0));
     let loss = tape.sum_all(a);
-    let grads = tape.backward(loss);
+    let grads = tape.backward(loss, &[a, b]);
     assert!(grads.get(b).is_none());
     assert!(grads.get(a).is_some());
 }
@@ -361,7 +366,7 @@ fn grad_dropout_scales_by_mask() {
     let mut fake = || 0.0f32;
     let y = tape.dropout(x, 1.0, &mut fake);
     let loss = tape.sum_all(y);
-    let grads = tape.backward(loss);
+    let grads = tape.backward(loss, &[x]);
     assert!(grads
         .get(x)
         .unwrap()
