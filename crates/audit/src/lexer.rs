@@ -418,8 +418,9 @@ mod tests {
 
     #[test]
     fn shift_right_in_nested_generics_splits_into_two_closes() {
-        // The parser closes nested generics one `>` at a time, so `>>` must
-        // arrive as two puncts (the lexer never glues multi-char operators).
+        // Token patterns see nested generics close one `>` at a time, so
+        // `>>` must arrive as two puncts (the lexer never glues
+        // multi-char operators).
         let toks = kinds("let v: Vec<Vec<u32>> = make(); a >> b");
         let gts = toks.iter().filter(|t| matches!(t, Tok::Punct('>'))).count();
         assert_eq!(gts, 4, "two generic closes + the real shift operator");

@@ -4,17 +4,14 @@
 //!
 //! The driver walks every `crates/*/src/**/*.rs` and `crates/*/tests/**/*.rs`
 //! (skipping `fixtures/` directories), lexes each file with the hand-rolled
-//! lexer in [`lexer`], runs the five rules in [`rules`], applies inline
+//! lexer in [`lexer`], runs the token rules in [`rules`], applies inline
 //! `audit-allow` waivers, and emits a machine-readable JSON report. Any
-//! unwaivered violation — or a failure of the [`interleave`] protocol
-//! check — makes [`AuditReport::ok`] false, which the CLI turns into a
-//! non-zero exit for CI.
+//! unwaivered violation, unused waiver, or failure of the [`interleave`]
+//! protocol check makes [`AuditReport::ok`] false, which the CLI turns
+//! into a non-zero exit for CI.
 
 pub mod interleave;
-pub mod interproc;
 pub mod lexer;
-pub mod parser;
-pub mod resolve;
 pub mod rules;
 
 use std::collections::BTreeSet;
@@ -43,9 +40,6 @@ pub struct AuditReport {
     /// False when README.md or its registry markers are missing.
     pub registry_found: bool,
     pub protocol: interleave::ProtocolReport,
-    /// Call-graph statistics from the interprocedural pass (over
-    /// `crates/*/src` only — integration tests are not part of the graph).
-    pub graph: resolve::GraphStats,
 }
 
 impl AuditReport {
@@ -53,10 +47,18 @@ impl AuditReport {
         self.violations.iter().filter(|v| !v.waived)
     }
 
-    /// The CI gate: no unwaivered violations, a readable registry, and a
-    /// protocol model check that both passes and catches its seeded bug.
+    pub fn unused_waivers(&self) -> impl Iterator<Item = &Waiver> {
+        self.waivers.iter().filter(|w| !w.used)
+    }
+
+    /// The CI gate: no unwaivered violations, no unused waivers, a readable
+    /// registry, and a protocol model check that both passes and catches
+    /// its seeded bug.
     pub fn ok(&self) -> bool {
-        self.unwaivered().count() == 0 && self.registry_found && self.protocol.verify().is_ok()
+        self.unwaivered().count() == 0
+            && self.unused_waivers().count() == 0
+            && self.registry_found
+            && self.protocol.verify().is_ok()
     }
 
     pub fn to_json(&self) -> Json {
@@ -81,7 +83,6 @@ impl AuditReport {
             .violations
             .iter()
             .map(|v| {
-                let trace: Vec<Json> = v.trace.iter().map(|s| Json::Str(s.clone())).collect();
                 json!({
                     "rule": v.rule,
                     "file": v.file.as_str(),
@@ -89,7 +90,6 @@ impl AuditReport {
                     "message": v.message.as_str(),
                     "waived": v.waived,
                     "reason": v.waive_reason.as_deref(),
-                    "trace": Json::Arr(trace),
                 })
             })
             .collect();
@@ -109,19 +109,9 @@ impl AuditReport {
             .collect();
         let registry: Vec<Json> = self.registry.iter().map(|v| Json::Str(v.clone())).collect();
         json!({
-            "schema": "benchtemp-audit/v2",
+            "schema": "benchtemp-audit/v3",
             "files_scanned": self.files_scanned,
             "ok": self.ok(),
-            "call_graph": {
-                "files_parsed": self.graph.files_parsed,
-                "functions": self.graph.functions,
-                "edges": self.graph.edges,
-                "calls_total": self.graph.calls_total,
-                "calls_resolved": self.graph.calls_resolved,
-                "calls_external": self.graph.calls_external,
-                "calls_unknown": self.graph.calls_unknown,
-                "resolved_call_ratio": self.graph.resolved_ratio(),
-            },
             "rules": rule_summary,
             "violations": violations,
             "waivers": waivers,
@@ -218,7 +208,6 @@ fn stale_registry_rows(
                     ),
                     waived: false,
                     waive_reason: None,
-                    trace: Vec::new(),
                 });
             }
         }
@@ -298,10 +287,8 @@ pub fn run_audit(root: &Path) -> std::io::Result<AuditReport> {
             message: "env registry markers not found in README.md".to_string(),
             waived: false,
             waive_reason: None,
-            trace: Vec::new(),
         });
     }
-    let mut parsed: Vec<parser::ParsedFile> = Vec::new();
     let mut literals = BTreeSet::new();
     for path in &files {
         let src = std::fs::read_to_string(path)?;
@@ -314,18 +301,8 @@ pub fn run_audit(root: &Path) -> std::io::Result<AuditReport> {
         }
         rules::check_file(&rel, &raw, &registry, &mut violations);
         rules::collect_waivers(&rel, &raw, &mut waivers, &mut violations);
-        // The call graph covers library/binary sources only: integration
-        // tests allocate and read clocks at will, and their helper names
-        // would pollute method-union resolution.
-        if rel.starts_with("crates/") && rel.contains("/src/") {
-            parsed.push(parser::parse_file(&rel, &raw));
-        }
     }
     stale_registry_rows(&readme, &registry, &literals, &mut violations);
-    let ws = resolve::Workspace::build(parsed);
-    interproc::check(&ws, &mut violations);
-    let mut seen = std::collections::BTreeSet::new();
-    violations.retain(|v| seen.insert((v.rule, v.file.clone(), v.line, v.message.clone())));
     rules::apply_waivers(&mut violations, &mut waivers);
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
@@ -337,7 +314,6 @@ pub fn run_audit(root: &Path) -> std::io::Result<AuditReport> {
         registry,
         registry_found,
         protocol: interleave::check_pool_protocol(),
-        graph: ws.stats.clone(),
     })
 }
 
@@ -370,9 +346,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn report_json_shape_is_stable() {
-        let report = AuditReport {
+    fn clean_report() -> AuditReport {
+        AuditReport {
             root: PathBuf::from("."),
             files_scanned: 0,
             violations: Vec::new(),
@@ -380,26 +355,41 @@ mod tests {
             registry: BTreeSet::new(),
             registry_found: true,
             protocol: interleave::check_pool_protocol(),
-            graph: resolve::GraphStats::default(),
-        };
-        let j = report.to_json();
+        }
+    }
+
+    #[test]
+    fn report_json_shape_is_stable() {
+        let j = clean_report().to_json();
         assert_eq!(
             j.get("schema").unwrap().as_str(),
-            Some("benchtemp-audit/v2")
+            Some("benchtemp-audit/v3")
         );
         assert_eq!(j.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(
             j.get("rules").unwrap().as_array().unwrap().len(),
             ALL_RULES.len()
         );
-        let cg = j.get("call_graph").unwrap();
-        assert!(cg.get("functions").is_some());
-        assert!(cg.get("edges").is_some());
-        assert!(cg.get("resolved_call_ratio").is_some());
         let proto = j.get("protocol_model").unwrap();
         assert_eq!(proto.get("verified").unwrap().as_bool(), Some(true));
         // Round-trips through the util parser.
         let text = j.to_string_pretty();
         assert!(benchtemp_util::json::parse(&text).is_ok());
+    }
+
+    #[test]
+    fn unused_waiver_fails_the_gate() {
+        let mut report = clean_report();
+        report.waivers.push(Waiver {
+            rule: rules::RULE_WALLCLOCK.to_string(),
+            file: "crates/core/src/x.rs".to_string(),
+            line: 1,
+            reason: "covers nothing".to_string(),
+            file_scoped: false,
+            used: false,
+        });
+        assert!(!report.ok(), "an unused waiver must fail the exit code");
+        report.waivers[0].used = true;
+        assert!(report.ok());
     }
 }

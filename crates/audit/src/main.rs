@@ -71,9 +71,9 @@ fn main() -> ExitCode {
     for v in report.unwaivered() {
         println!("VIOLATION {}:{} [{}] {}", v.file, v.line, v.rule, v.message);
     }
-    for w in report.waivers.iter().filter(|w| !w.used) {
+    for w in report.unused_waivers() {
         println!(
-            "note: unused waiver {}:{} [{}] ({})",
+            "UNUSED WAIVER {}:{} [{}] ({})",
             w.file, w.line, w.rule, w.reason
         );
     }
@@ -105,8 +105,9 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!(
-            "AUDIT_FAILED: {} unwaivered violation(s)",
-            report.unwaivered().count()
+            "AUDIT_FAILED: {} unwaivered violation(s), {} unused waiver(s)",
+            report.unwaivered().count(),
+            report.unused_waivers().count()
         );
         ExitCode::FAILURE
     }

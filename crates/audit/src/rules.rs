@@ -20,22 +20,14 @@ pub const RULE_ENV_REGISTRY: &str = "env-read-registry";
 /// Pseudo-rule for malformed `audit-allow` comments (unknown rule name or
 /// missing reason). Never waivable — a waiver that cannot be read is noise.
 pub const RULE_WAIVER_SYNTAX: &str = "waiver-syntax";
-// Interprocedural rules over the workspace call graph (see
-// [`crate::interproc`]); hits carry full call-path traces.
-pub const RULE_DETERMINISM_TAINT: &str = "determinism-taint-hot-path";
-pub const RULE_ALLOC_REACH: &str = "hot-path-alloc-reachability";
-pub const RULE_CLAIMED_WRITE: &str = "claimed-write-audit";
 
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 6] = [
     RULE_HASH_ITER,
     RULE_WALLCLOCK,
     RULE_THREAD_SPAWN,
     RULE_SAFETY_COMMENT,
     RULE_ENV_REGISTRY,
     RULE_WAIVER_SYNTAX,
-    RULE_DETERMINISM_TAINT,
-    RULE_ALLOC_REACH,
-    RULE_CLAIMED_WRITE,
 ];
 
 /// One rule hit in one file.
@@ -49,9 +41,6 @@ pub struct Violation {
     /// Filled in by the driver when an `audit-allow` covers this hit.
     pub waived: bool,
     pub waive_reason: Option<String>,
-    /// For interprocedural rules: the shortest call path from the entry
-    /// point to the function containing the hit. Empty for token rules.
-    pub trace: Vec<String>,
 }
 
 /// An `audit-allow` comment — the rule name in parentheses, then a colon
@@ -79,7 +68,6 @@ fn violation(rule: &'static str, file: &str, line: u32, message: String) -> Viol
         message,
         waived: false,
         waive_reason: None,
-        trace: Vec::new(),
     }
 }
 

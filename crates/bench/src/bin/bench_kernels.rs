@@ -730,7 +730,7 @@ fn run_child(smoke: bool) {
         std::hint::black_box(ranking_metrics_flat(&rank_pos, &rank_cands, rank_k, None))
     });
 
-    // Paged store (DESIGN.md §16): bulk-load the sampling graph into an
+    // Paged store (DESIGN.md §15): bulk-load the sampling graph into an
     // on-disk store, then rerun the mixed-strategy pass and the frontier
     // expansion through the paged backend. The 64 KiB budget is far below
     // the graph's column footprint, so the pass churns the CLOCK cache
@@ -964,21 +964,6 @@ fn main() {
         }),
     );
 
-    // Audit engine timing: the full-workspace interprocedural analysis
-    // (walk + lex + parse + call graph + taint) gates CI ahead of tier-1,
-    // so it must stay cheap — the budget is 5 s single-threaded.
-    let audit_root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    // audit-allow(no-wallclock-outside-obs): timing the audit analysis itself; reported, not fed back
-    let audit_start = std::time::Instant::now();
-    let audit = benchtemp_audit::run_audit(&audit_root).expect("walk workspace");
-    let audit_ms = audit_start.elapsed().as_secs_f64() * 1e3;
-    const AUDIT_BUDGET_MS: f64 = 5000.0;
-    assert!(audit.ok(), "workspace audit must pass under timing");
-    assert!(
-        audit_ms <= AUDIT_BUDGET_MS,
-        "full-workspace audit took {audit_ms:.0} ms, budget {AUDIT_BUDGET_MS:.0} ms"
-    );
-
     // Span-instrumentation overhead (targets from the obs acceptance
     // criteria: inert ≈ 1.00x, JSONL tracing ≤ 1.03x) and sanitizer
     // overhead (off is the shipping default and must cost nothing
@@ -1047,16 +1032,6 @@ fn main() {
             "tgat_attention_ns_single_thread": single("ts_tgat_ns") * single("ts_tgat_att_share"),
             "tgn_fused_ns_single_thread": single("ts_tgn_ns"),
             "loss_bit_identical": true,
-        },
-        "audit": {
-            "workload": "full-workspace static analysis: walk + lex + token rules + item parse + call-graph resolution + interprocedural taint, single thread",
-            "full_workspace_ms": audit_ms,
-            "budget_ms": AUDIT_BUDGET_MS,
-            "within_budget": audit_ms <= AUDIT_BUDGET_MS,
-            "files_parsed": audit.graph.files_parsed,
-            "functions": audit.graph.functions,
-            "edges": audit.graph.edges,
-            "resolved_call_ratio": audit.graph.resolved_ratio(),
         },
         "sanitizer": {
             "workload": "full eval pass (batched gather + parallel matmul forward)",

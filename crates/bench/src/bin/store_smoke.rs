@@ -1,4 +1,4 @@
-//! CI smoke check for the paged temporal store (DESIGN.md §16).
+//! CI smoke check for the paged temporal store (DESIGN.md §15).
 //!
 //! Bulk-loads a generated benchmark preset whose resident footprint is far
 //! above the configured page-cache budget, trains a real link-prediction
@@ -25,7 +25,7 @@ const CACHE_BUDGET: usize = 256 * 1024;
 
 fn main() {
     // Capacity-planning table: which presets would exceed a given cache
-    // budget when run resident (satellite of DESIGN.md §16).
+    // budget when run resident (satellite of DESIGN.md §15).
     print!("{}", resident_bytes_report(0.05));
 
     // Wikipedia at 2% scale: ~3.1k events × 172-dim edge features ≈ 2.5 MiB

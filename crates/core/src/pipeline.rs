@@ -151,7 +151,7 @@ pub struct TrainConfig {
     /// are built and no `score_candidates` calls happen, so AUC/AP-only
     /// runs cost exactly what they did before ranking existed.
     pub rank_negatives: usize,
-    /// Opt-in out-of-core adjacency (DESIGN.md §16): when set, the
+    /// Opt-in out-of-core adjacency (DESIGN.md §15): when set, the
     /// trainers bulk-load the train/full event streams into paged stores
     /// and sample through the byte-budgeted page cache instead of
     /// resident CSR columns. Scores and losses are bit-identical to the

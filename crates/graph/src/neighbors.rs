@@ -25,11 +25,6 @@
 //!   per *root index* (never per thread), so results are bit-identical at
 //!   any thread count.
 
-// audit-allow-file(hot-path-alloc-reachability): finder construction (`vec!` CSR
-// columns) and the parallel frontier dispatch (per-task views, boxed closures)
-// allocate by design; the counting-allocator pins cover the steady-state
-// sequential sample_into/sample_one path, which writes into caller buffers.
-
 use benchtemp_tensor::init::SeededRng;
 use benchtemp_tensor::pool::pool;
 
@@ -702,7 +697,7 @@ fn expand_root_range<B: FrontierBackend + ?Sized>(
 /// with a scratch-materialised copy of the same bytes — so identical
 /// window contents imply identical RNG consumption and identical output
 /// bits. That equality *is* the paged backend's bit-identity argument
-/// (DESIGN.md §16).
+/// (DESIGN.md §15).
 ///
 /// `hist` must be the full strictly-before-`t` window for the RNG-driven
 /// strategies (draw ranges depend on its length); for `MostRecent` (which

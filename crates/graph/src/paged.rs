@@ -3,7 +3,7 @@
 //! pages instead of resident columns.
 //!
 //! Bit-identity with the resident path is by construction, not by luck
-//! (DESIGN.md §16):
+//! (DESIGN.md §15):
 //!
 //! 1. the store's bulk loader sorts stably, so an already-time-sorted
 //!    event stream (every benchtemp dataset) keeps its order and the paged

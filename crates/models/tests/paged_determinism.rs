@@ -1,5 +1,5 @@
 //! Cross-process, cross-thread-count bit-identity of the paged store
-//! backend (DESIGN.md §16).
+//! backend (DESIGN.md §15).
 //!
 //! Each child process bulk-loads the same generated graph into an on-disk
 //! store with a 64 KiB page-cache budget — small enough that sampling and

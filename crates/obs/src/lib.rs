@@ -143,7 +143,6 @@ impl Recorder {
     /// guard lives are aggregated here. The previous recorder (if any) is
     /// restored when the guard drops.
     pub fn install(&self) -> InstallGuard {
-        // audit-allow(hot-path-alloc-reachability): Recorder is an Arc handle; clone is a refcount increment, not a heap allocation
         let prev = CURRENT.with(|c| c.borrow_mut().replace(self.clone()));
         InstallGuard { prev }
     }
@@ -205,7 +204,6 @@ thread_local! {
 /// The recorder installed on the current thread, if any. The worker pool
 /// calls this at dispatch time to propagate attribution into its tasks.
 pub fn current() -> Option<Recorder> {
-    // audit-allow(hot-path-alloc-reachability): Option<Recorder> clone bumps an Arc refcount; no heap allocation on this path
     CURRENT.with(|c| c.borrow().clone())
 }
 

@@ -51,7 +51,6 @@ pub fn enabled() -> bool {
 }
 
 fn resolve_from_env() -> bool {
-    // audit-allow(determinism-taint-hot-path): resolved once per process, latched into STATE; later hot-path calls are one atomic load
     match std::env::var("BENCHTEMP_TRACE") {
         Ok(path) if !path.is_empty() => {
             set_path(Some(Path::new(&path)));

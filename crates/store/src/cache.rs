@@ -74,7 +74,6 @@ impl Inner {
             let fi = self.frames.len();
             self.frames.push(Frame {
                 page,
-                // audit-allow(hot-path-alloc-reachability): warm-up only — each frame buffer is allocated once, then reused across evictions for the life of the cache.
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
                 referenced: false,
                 dirty: false,

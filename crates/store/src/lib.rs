@@ -448,7 +448,6 @@ impl TemporalStore {
     ) -> io::Result<()> {
         debug_assert!(start <= end && end <= self.manifest.num_entries);
         let n = (end - start) as usize;
-        // audit-allow(hot-path-alloc-reachability): per-window staging buffer on the page-IO path; reachable from the pinned samplers only through the paged backend, where page-cache locking and IO dominate the window alloc.
         let mut bytes = vec![0u8; n.max(1) * 8];
         // u32 columns.
         for (col, out) in [(&self.cols.nbr, &mut *nbr), (&self.cols.evi, &mut *evi)] {

@@ -2,11 +2,6 @@
 //! tape. Kept deliberately small: BenchTemp's models only need 2-D tensors
 //! (batches of node embeddings), so everything is a matrix.
 
-// audit-allow-file(hot-path-alloc-reachability): matrix constructors allocate
-// their backing `Vec<f32>` by design, and the parallel kernel dispatch boxes
-// per-task closures; the zero-alloc pins cover the in-place gather/epilogue
-// kernels, which operate entirely on caller-provided storage.
-
 use std::fmt;
 
 /// Dense row-major matrix of `f32`.

@@ -25,11 +25,6 @@
 //! barrier), so no borrow outlives the call. Panics inside workers are
 //! caught, carried back, and re-raised on the caller thread.
 
-// audit-allow-file(hot-path-alloc-reachability): scope_run enqueues boxed tasks
-// and clones Arc handles at dispatch time; the zero-alloc pinned tests size
-// their inputs below the parallel thresholds, so their paths stay inline and
-// never reach this dispatch machinery.
-
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -103,7 +98,6 @@ fn worker_loop(queue: Arc<Queue>) {
 /// Resolve the configured pool size: `BENCHTEMP_THREADS` if set and ≥ 1,
 /// else the machine's available parallelism.
 pub fn configured_threads() -> usize {
-    // audit-allow(determinism-taint-hot-path): consulted only when the pool is first spawned (OnceLock); the hot path reuses live workers
     match std::env::var("BENCHTEMP_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,

@@ -45,7 +45,6 @@ pub fn enabled() -> bool {
         1 => false,
         2 => true,
         _ => *ENV_ENABLED.get_or_init(
-            // audit-allow(determinism-taint-hot-path): read once via OnceLock and cached for the process lifetime; cannot vary within a run
             || matches!(std::env::var("BENCHTEMP_SANITIZE"), Ok(v) if v.trim() == "1"),
         ),
     }
@@ -79,7 +78,6 @@ pub type SlotClaim = (usize, Range<usize>);
 pub fn check_slot_claims(what: &str, claims: &[SlotClaim]) {
     benchtemp_obs::counters::SANITIZE_BATCHES_CHECKED.incr();
     benchtemp_obs::counters::SANITIZE_CLAIMS_CHECKED.add(claims.len() as u64);
-    // audit-allow(hot-path-alloc-reachability): sorts a borrowed view of the claims; runs only under BENCHTEMP_SANITIZE=1, never in measured configurations
     let mut sorted: Vec<&SlotClaim> = claims.iter().filter(|(_, r)| !r.is_empty()).collect();
     sorted.sort_by_key(|(chunk, r)| (r.start, r.end, *chunk));
     for pair in sorted.windows(2) {

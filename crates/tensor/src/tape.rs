@@ -11,11 +11,6 @@
 //! a hand-derived match arm, and every rule is checked against finite
 //! differences in the test suite.
 
-// audit-allow-file(hot-path-alloc-reachability): forward ops allocate their
-// output node's storage by design (one arena push per op), and the parallel
-// attention path boxes per-task closures; the zero-alloc pins cover the inner
-// row kernels, which run on preallocated rows below the parallel thresholds.
-
 use crate::matrix::Matrix;
 
 /// Handle to a node on a [`Tape`].
