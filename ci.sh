@@ -18,7 +18,7 @@ echo "== ci: tier-1 verify =="
 cargo build --release --offline
 cargo test -q --offline --workspace
 
-echo "== ci: kernel smoke bench (children at 1 thread, 4 threads, 4 threads + sanitize) =="
+echo "== ci: overhead smoke bench (tracing + sanitizer; eval AUC/AP bits across 1 thread, 4 threads, 4 threads + sanitize) =="
 cargo run --release --offline -p benchtemp-bench --bin bench_kernels -- --smoke
 
 echo "== ci: paged store smoke (paged == resident, bounded cache, evictions) =="

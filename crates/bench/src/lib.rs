@@ -241,9 +241,9 @@ pub fn render_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> St
 
 /// Write a serializable value as pretty JSON under the given directory.
 /// Minimal wall-clock micro-benchmark harness for the `harness = false`
-/// benches and the kernel-throughput binary. Auto-calibrates the iteration
-/// count from one warm-up pass, then reports the median over several
-/// samples — robust to scheduler noise without external crates.
+/// benches and the `bench_kernels` overhead report. Auto-calibrates the
+/// iteration count from one warm-up pass, then reports the median over
+/// several samples — robust to scheduler noise without external crates.
 pub mod timing {
     use std::time::{Duration, Instant};
 

@@ -92,13 +92,6 @@ impl PagedNeighborFinder {
         )
     }
 
-    /// Open a sampler over an existing sealed store.
-    pub fn open(dir: &Path, opts: &StoreOptions) -> io::Result<Self> {
-        Ok(PagedNeighborFinder {
-            store: TemporalStore::open(dir, opts)?,
-        })
-    }
-
     /// Wrap an already-open store.
     pub fn from_store(store: TemporalStore) -> Self {
         PagedNeighborFinder { store }
