@@ -30,7 +30,7 @@ use benchtemp_graph::neighbors::{NeighborEvent, NeighborFinder, SampleScratch, S
 use benchtemp_obs as obs;
 use benchtemp_obs::counters::SANITIZE_CLAIMS_CHECKED;
 use benchtemp_tensor::nn::Mlp;
-use benchtemp_tensor::{init, pool, sanitize, Graph, Matrix, ParamStore};
+use benchtemp_tensor::{init, kernel_isa, pool, sanitize, Graph, Matrix, ParamStore};
 use benchtemp_util::{child, json, Json};
 
 const NODE_DIM: usize = 32;
@@ -285,6 +285,7 @@ fn main() {
     // small are noisy on shared machines.
     let report = json!({
         "host_cores": host_cores,
+        "kernel_isa": kernel_isa(),
         "tracing": section(0, "tracing"),
         "sanitizer": section(1, "sanitizer"),
     });

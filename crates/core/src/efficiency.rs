@@ -187,6 +187,10 @@ pub struct EfficiencyReport {
     pub timed_out: bool,
     /// Worker threads the runtime used for this job (`BENCHTEMP_THREADS`).
     pub thread_count: usize,
+    /// Instruction set of the dense matmul kernels that produced the
+    /// timings (`benchtemp_tensor::kernel_isa()`: `"avx2"` or
+    /// `"portable"`); the result bits are the same either way.
+    pub kernel_isa: &'static str,
     /// Per-stage wall-clock decomposition of the job.
     pub stages: StageBreakdown,
     /// Full span/counter profile the breakdown was projected from.
@@ -205,6 +209,7 @@ impl ToJson for EfficiencyReport {
             "inference_secs_per_100k": self.inference_secs_per_100k,
             "timed_out": self.timed_out,
             "thread_count": self.thread_count,
+            "kernel_isa": self.kernel_isa,
             "stages": &self.stages,
             "profile": profile_to_json(&self.profile),
         })
@@ -332,6 +337,7 @@ mod tests {
         assert!(s.contains("\"stages\""), "{s}");
         assert!(s.contains("\"train_epoch\""), "{s}");
         assert!(s.contains("\"counters\""), "{s}");
+        assert!(s.contains("\"kernel_isa\""), "{s}");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use benchtemp_graph::paged::{
 };
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_obs as obs;
-use benchtemp_tensor::{pool, Matrix};
+use benchtemp_tensor::{kernel_isa, pool, Matrix};
 use benchtemp_util::{json, Json, ToJson};
 
 use crate::dataloader::{LinkPredSplit, NodeClassSplit, Setting};
@@ -592,6 +592,7 @@ pub fn train_link_prediction(
             inference_secs_per_100k,
             timed_out,
             thread_count: pool().threads(),
+            kernel_isa: kernel_isa(),
             stages,
             profile,
         },
@@ -863,6 +864,7 @@ pub fn train_node_classification(
             inference_secs_per_100k: embed_secs / graph.num_events().max(1) as f64 * 100_000.0,
             timed_out: false,
             thread_count: pool().threads(),
+            kernel_isa: kernel_isa(),
             stages,
             profile,
         },

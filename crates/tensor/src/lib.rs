@@ -36,7 +36,7 @@ pub mod sanitize;
 pub mod tape;
 
 pub use checkpoint::{load_checkpoint, save_checkpoint};
-pub use matrix::Matrix;
+pub use matrix::{kernel_isa, Matrix};
 pub use optim::{Adam, Sgd};
 pub use params::{Graph, ParamId, ParamStore};
 pub use pool::{pool, ThreadPool};

@@ -185,10 +185,14 @@ impl Matrix {
         });
     }
 
-    /// `self · rhsᵀ` without materializing the transpose.
+    /// `self · rhsᵀ` — the input gradient `g·Wᵀ` of every matmul backward.
     ///
-    /// Row-parallel above [`PAR_FLOPS`]; each output entry is a four-way
-    /// blocked dot product, identical on every code path.
+    /// Transposes `rhs` once (a k×n scratch matrix; backward only, outside
+    /// the forward zero-allocation contract), then computes [`LANES`]
+    /// output columns at a time with `matmul_transpose_block_kernel`. Each
+    /// entry keeps [`dot`]'s four-accumulator order exactly, so the bits
+    /// match a per-element `dot` loop on every code path. Row-parallel above
+    /// [`PAR_FLOPS`].
     pub fn matmul_transpose(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
@@ -201,11 +205,9 @@ impl Matrix {
             return out;
         }
         benchtemp_obs::counters::MATMUL_FLOPS.add(2 * (m * k * n) as u64);
-        run_rows(m, n, m * k * n, &mut out.data, |i, out_row| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = dot(a_row, rhs.row(j));
-            }
+        let bt = rhs.transpose();
+        run_row_blocks(m, n, m * k * n, &mut out.data, |first, block| {
+            matmul_transpose_block_kernel(&self.data, k, first, &bt.data, n, block);
         });
         out
     }
@@ -216,7 +218,7 @@ impl Matrix {
     /// k-outer: each worker owns a contiguous slab of output rows (columns
     /// of `self`) and streams the rows of `self` and `rhs` once, a k-quad at
     /// a time, folding each quad into every row of the cache-resident slab
-    /// (see `transpose_matmul_block_kernel` for the bit-identity argument).
+    /// (see `transpose_matmul_block_portable` for the bit-identity argument).
     pub fn transpose_matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
@@ -532,11 +534,68 @@ impl Matrix {
 /// per-batch model matmul (≤ 64³) stays inline.
 pub const PAR_FLOPS: usize = 1 << 18;
 
-/// Fixed lane width of the blocked kernel epilogues. Eight `f32` lanes fill
-/// one AVX2 register (two NEON registers); the accumulator-array loops below
-/// are shaped so the autovectorizer lifts them to SIMD without changing the
-/// per-element floating-point operation order.
+/// Fixed lane width of the blocked kernels and epilogues. The
+/// accumulator-array loops below are shaped so the autovectorizer lifts
+/// them to SIMD without changing the per-element floating-point operation
+/// order. Eight `f32` lanes are one 256-bit register in the AVX2 variants
+/// that [`avx2_dispatch!`] compiles for the dense matmul kernels; the
+/// portable build (SSE2 on x86-64, NEON on aarch64) runs each block as two
+/// 128-bit halves.
 pub(crate) const LANES: usize = 8;
+
+/// Instruction set the dispatched dense matmul kernels run on in this
+/// process: `"avx2"` when the CPU reports AVX2 at run time (x86-64 only),
+/// otherwise `"portable"`. Both variants produce the same bits; the stamp
+/// only says which one a timing came from.
+pub fn kernel_isa() -> &'static str {
+    if avx2_detected() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// Run-time AVX2 check; std caches the CPUID probe, so each call is one
+/// atomic load.
+#[inline]
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Defines kernel `fn $name(args)` over the `#[inline(always)]` portable
+/// body `$body`. On x86-64 the body is compiled a second time inside a
+/// `#[target_feature(enable = "avx2")]` frame, and `$name` calls that copy
+/// when [`avx2_detected`]; other targets build only the portable body.
+/// The attribute must sit on a function the whole kernel inlines into:
+/// closures and non-`inline(always)` callees keep the caller's baseline
+/// codegen. AVX2 rounds every `f32` op exactly as SSE2 does, and Rust never
+/// contracts `a * b + c` into an FMA (`fma` stays disabled), so both copies
+/// produce the same bits.
+macro_rules! avx2_dispatch {
+    ($(#[$attr:meta])* fn $name:ident => $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {
+        $(#[$attr])*
+        fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if avx2_detected() {
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
+                // SAFETY: `avx2_detected()` just confirmed at run time that
+                // this CPU executes AVX2, the only feature `avx2` enables.
+                return unsafe { avx2($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
 
 /// One [`LANES`]-wide block of the four-way axpy
 /// `out[l] += a0·b0[l] + a1·b1[l] + a2·b2[l] + a3·b3[l]` — the k-tiled inner
@@ -754,7 +813,7 @@ fn row_block_claims(m: usize, n: usize, rows_per: usize) -> Vec<crate::sanitize:
 /// [`matmul_quad_kernel`] exactly — which kernel computes a given row
 /// depends on where thread-block boundaries fall, and the runtime contract
 /// says the thread count can never change result bits.
-#[inline]
+#[inline(always)]
 fn matmul_row_kernel(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
     out_row.fill(0.0);
     let k = a_row.len();
@@ -804,7 +863,7 @@ fn matmul_row_kernel(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
 /// [`matmul_row_kernel`] (identical per-row FP order — see the determinism
 /// note there), but each streamed B tile feeds four output rows, quartering
 /// the dominant memory traffic on large matmuls.
-#[inline]
+#[inline(always)]
 fn matmul_quad_kernel(a: &[&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]) {
     let [o0, o1, o2, o3] = out;
     o0.fill(0.0);
@@ -896,7 +955,8 @@ fn matmul_quad_kernel(a: &[&[f32]; 4], b: &[f32], n: usize, out: [&mut [f32]; 4]
 /// each B sweep, the `rows % 4` tail falls back to the single-row kernel.
 /// Both kernels apply the identical per-row FP order, so where the quad
 /// boundaries land (a function of the thread partition) cannot change bits.
-fn matmul_block_kernel(
+#[inline(always)]
+fn matmul_block_portable(
     a_data: &[f32],
     k: usize,
     first: usize,
@@ -937,7 +997,8 @@ fn matmul_block_kernel(
 /// the `k % 4` single-axpy tail — the same order as a per-row kernel that
 /// walks one output row through all of k. The order depends on neither the
 /// slab's start nor its height, so the thread partition cannot change bits.
-fn transpose_matmul_block_kernel(
+#[inline(always)]
+fn transpose_matmul_block_portable(
     a: &[f32],
     a_cols: usize,
     first: usize,
@@ -996,8 +1057,91 @@ fn transpose_matmul_block_kernel(
     }
 }
 
-/// Four-accumulator dot product — the scalar-ILP workhorse behind
-/// `matmul_transpose`.
+/// One slab of `A·Bᵀ` output rows, `first..first + block.len() / n`, with
+/// `A` row-major m×k and `bt` the k×n transpose of `B`. Each row is filled
+/// [`LANES`] columns at a time by [`dot_lanes`], then the `n % LANES` tail
+/// one column at a time by the same function, so every entry is exactly
+/// [`dot`]`(A[i], B[j])` and rows are independent of the slab partition.
+#[inline(always)]
+fn matmul_transpose_block_portable(
+    a: &[f32],
+    k: usize,
+    first: usize,
+    bt: &[f32],
+    n: usize,
+    block: &mut [f32],
+) {
+    let blocked = n / LANES * LANES;
+    for (r, out_row) in block.chunks_exact_mut(n).enumerate() {
+        let a_row = &a[(first + r) * k..(first + r + 1) * k];
+        let mut j = 0;
+        while j < blocked {
+            out_row[j..j + LANES].copy_from_slice(&dot_lanes::<LANES>(a_row, bt, n, j));
+            j += LANES;
+        }
+        for (j, o) in out_row.iter_mut().enumerate().skip(blocked) {
+            *o = dot_lanes::<1>(a_row, bt, n, j)[0];
+        }
+    }
+}
+
+/// `W` adjacent entries `(A·Bᵀ)[i][j..j + W]` from `A`'s row `i` and the
+/// k×n transpose `bt` of `B`. Lane `l` replays [`dot`]`(a_row, B[j + l])`
+/// operation for operation: four accumulators over the k-quads, a separate
+/// tail over `k % 4`, finished as `(acc0 + acc1) + (acc2 + acc3) + tail`.
+/// No arithmetic crosses lanes, so the lane count cannot change a bit.
+#[inline(always)]
+fn dot_lanes<const W: usize>(a_row: &[f32], bt: &[f32], n: usize, j: usize) -> [f32; W] {
+    // Checked once here so the per-k lane slices below need no bounds check.
+    assert!(
+        j + W <= n,
+        "dot_lanes: lanes {j}..{} overrun row width {n}",
+        j + W
+    );
+    let quads = a_row.len() / 4 * 4;
+    let (a_quads, a_tail) = a_row.split_at(quads);
+    let (b_quads, b_tail) = bt.split_at(quads * n);
+    let lanes = |b_row: &[f32]| -> [f32; W] { b_row[j..j + W].try_into().unwrap() };
+    let mut acc = [[0.0f32; W]; 4];
+    for (a4, b4) in a_quads.chunks_exact(4).zip(b_quads.chunks_exact(4 * n)) {
+        for ((acc_q, &av), b_row) in acc.iter_mut().zip(a4).zip(b4.chunks_exact(n)) {
+            for (o, &x) in acc_q.iter_mut().zip(&lanes(b_row)) {
+                *o += av * x;
+            }
+        }
+    }
+    let mut tail = [0.0f32; W];
+    for (&av, b_row) in a_tail.iter().zip(b_tail.chunks_exact(n)) {
+        for (o, &x) in tail.iter_mut().zip(&lanes(b_row)) {
+            *o += av * x;
+        }
+    }
+    std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]) + tail[l])
+}
+
+avx2_dispatch! {
+    /// [`matmul_block_portable`], AVX2 when the CPU has it.
+    fn matmul_block_kernel => matmul_block_portable(
+        a_data: &[f32], k: usize, first: usize, b: &[f32], n: usize, block: &mut [f32],
+    )
+}
+
+avx2_dispatch! {
+    /// [`transpose_matmul_block_portable`], AVX2 when the CPU has it.
+    fn transpose_matmul_block_kernel => transpose_matmul_block_portable(
+        a: &[f32], a_cols: usize, first: usize, b: &[f32], n: usize, block: &mut [f32],
+    )
+}
+
+avx2_dispatch! {
+    /// [`matmul_transpose_block_portable`], AVX2 when the CPU has it.
+    fn matmul_transpose_block_kernel => matmul_transpose_block_portable(
+        a: &[f32], k: usize, first: usize, bt: &[f32], n: usize, block: &mut [f32],
+    )
+}
+
+/// Four-accumulator dot product — the attention score kernel, and the
+/// per-entry order [`dot_lanes`] replays for `matmul_transpose`.
 #[inline]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -1334,6 +1478,111 @@ mod tests {
                     "slab rows {first}..{} at n = {n}",
                     first + rows
                 );
+            }
+        }
+    }
+
+    /// The per-element `A·Bᵀ` loop the lane-parallel kernel replaced, kept
+    /// as the bit-exact oracle: entry `(i, j)` is one [`dot`] of `A` row `i`
+    /// and `B` row `j`.
+    fn matmul_transpose_dot_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                out.set(i, j, dot(a.row(i), b.row(j)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matmul_transpose_matches_dot_oracle_bitwise() {
+        // k straddles the quad unroll, n the lane block (n < LANES is all
+        // tail); 72·72·72 > PAR_FLOPS fans the kernel out on a multi-thread
+        // pool.
+        let shapes = [
+            (1, 1, 1),
+            (1, 7, 9),
+            (3, 4, 8),
+            (5, 5, 7),
+            (6, 6, 17),
+            (13, 10, 48),
+            (4, 203, 29),
+            (72, 72, 72),
+        ];
+        for &(m, k, n) in &shapes {
+            let a = pseudo_random(m, k, (m * 31 + k * 7 + n) as u64);
+            let b = pseudo_random(n, k, (m * 3 + k * 17 + n) as u64);
+            assert_eq!(
+                bits(a.matmul_transpose(&b).as_slice()),
+                bits(matmul_transpose_dot_oracle(&a, &b).as_slice()),
+                "matmul_transpose {m}x{k} · ({n}x{k})ᵀ"
+            );
+        }
+    }
+
+    /// Seeded values with every seventh entry replaced by −0.0, a positive
+    /// or negative subnormal, or a tiny normal whose products underflow,
+    /// plus one +inf and one −inf per matrix, so outputs mix finite,
+    /// subnormal, infinite and NaN results.
+    fn awkward(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut m = pseudo_random(rows, cols, seed);
+        let specials = [
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 3.0,
+            1e-20,
+        ];
+        let data = m.as_mut_slice();
+        for (i, x) in data.iter_mut().enumerate().skip(3).step_by(7) {
+            *x = specials[i % specials.len()];
+        }
+        let len = data.len();
+        data[0] = f32::INFINITY;
+        data[len - 1] = f32::NEG_INFINITY;
+        m
+    }
+
+    /// `(a, a_cols, first, b, n, block)`: the signature every slab kernel shares.
+    type SlabKernel = fn(&[f32], usize, usize, &[f32], usize, &mut [f32]);
+
+    #[test]
+    fn dispatched_kernels_match_portable_bodies_bitwise() {
+        if kernel_isa() == "portable" {
+            println!("kernel_isa() = portable: compared the portable kernels to themselves");
+        }
+        // m % 4 and k % 4 ∈ {0, 1, 2, 3} with m = 1; n < LANES, n % LANES ≠ 0
+        // and whole lane blocks.
+        for &m in &[1, 2, 3, 4, 9] {
+            for &k in &[1, 2, 3, 4, 13] {
+                for &n in &[3, 7, 8, 13, 20] {
+                    let seed = (m * 100 + k * 10 + n) as u64;
+                    let run = |kernel: SlabKernel, a: &Matrix, a_cols: usize, b: &Matrix| {
+                        let mut block = vec![f32::NAN; m * n];
+                        kernel(a.as_slice(), a_cols, 0, b.as_slice(), n, &mut block);
+                        bits(&block)
+                    };
+                    // A·B: A m×k, B k×n.
+                    let (a, b) = (awkward(m, k, seed), awkward(k, n, seed + 1));
+                    assert_eq!(
+                        run(matmul_block_kernel, &a, k, &b),
+                        run(matmul_block_portable, &a, k, &b),
+                        "matmul {m}x{k}x{n}"
+                    );
+                    // Aᵀ·B: A k×m, B k×n.
+                    let at = awkward(k, m, seed + 2);
+                    assert_eq!(
+                        run(transpose_matmul_block_kernel, &at, m, &b),
+                        run(transpose_matmul_block_portable, &at, m, &b),
+                        "transpose_matmul {k}x{m}ᵀ · {k}x{n}"
+                    );
+                    // A·Bᵀ from the k×n transpose: A m×k.
+                    assert_eq!(
+                        run(matmul_transpose_block_kernel, &a, k, &b),
+                        run(matmul_transpose_block_portable, &a, k, &b),
+                        "matmul_transpose {m}x{k} · ({n}x{k})ᵀ"
+                    );
+                }
             }
         }
     }

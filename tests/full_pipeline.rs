@@ -137,6 +137,11 @@ fn efficiency_report_is_fully_populated() {
     assert!(e.inference_secs_per_100k > 0.0);
     assert!((0.0..=1.0).contains(&e.compute_utilization));
     assert!(!e.timed_out);
+    assert!(
+        ["avx2", "portable"].contains(&e.kernel_isa),
+        "{}",
+        e.kernel_isa
+    );
 }
 
 #[test]
