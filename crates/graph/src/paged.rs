@@ -26,7 +26,7 @@ use std::path::Path;
 use benchtemp_store::{StoreEvent, TemporalStore};
 // Re-exported so samplers can be configured without a direct store
 // dependency.
-pub use benchtemp_store::{default_store_dir, StoreOptions, TemporalStore as Store};
+pub use benchtemp_store::{default_store_dir, StoreOptions};
 use benchtemp_tensor::init::SeededRng;
 
 use crate::neighbors::{
@@ -62,43 +62,30 @@ pub struct PagedNeighborFinder {
 }
 
 impl PagedNeighborFinder {
-    /// Bulk-load `events` (plus an optional row-major edge-feature matrix)
-    /// into a fresh store at `dir` and open a sampler over it.
+    /// Bulk-load the adjacency of `events` into a fresh store at `dir` and
+    /// open a sampler over it. `_edge_features` is ignored: the store
+    /// pages adjacency only, and the edge-feature matrix stays resident in
+    /// [`TemporalGraph`], whose `validate` range-checks every `feat_idx`.
     pub fn bulk_load(
         dir: &Path,
         num_nodes: usize,
         events: &[Interaction],
-        edge_features: Option<(usize, usize, &[f32])>,
+        _edge_features: Option<(usize, usize, &[f32])>,
         opts: &StoreOptions,
     ) -> io::Result<Self> {
         let evs: Vec<StoreEvent> = events.iter().map(to_store_event).collect();
-        let store = TemporalStore::bulk_load(dir, num_nodes, &evs, edge_features, opts)?;
+        let store = TemporalStore::bulk_load(dir, num_nodes, &evs, opts)?;
         Ok(PagedNeighborFinder { store })
     }
 
-    /// Bulk-load a whole graph — event stream plus its edge-feature matrix.
+    /// Bulk-load a whole graph's adjacency; its edge-feature matrix stays
+    /// resident in `graph`.
     pub fn bulk_load_graph(
         dir: &Path,
         graph: &TemporalGraph,
         opts: &StoreOptions,
     ) -> io::Result<Self> {
-        let ef = &graph.edge_features;
-        Self::bulk_load(
-            dir,
-            graph.num_nodes,
-            &graph.events,
-            Some((ef.rows(), ef.cols(), ef.as_slice())),
-            opts,
-        )
-    }
-
-    /// Wrap an already-open store.
-    pub fn from_store(store: TemporalStore) -> Self {
-        PagedNeighborFinder { store }
-    }
-
-    pub fn store(&self) -> &TemporalStore {
-        &self.store
+        Self::bulk_load(dir, graph.num_nodes, &graph.events, None, opts)
     }
 
     pub fn num_nodes(&self) -> usize {

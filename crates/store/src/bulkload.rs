@@ -1,7 +1,7 @@
 //! External-sort bulk load: events → sorted runs → k-way merge → CSR
-//! segments and SoA columns written straight to pages.
+//! adjacency columns written straight to pages.
 //!
-//! The loader never holds more than one run of events in memory (plus the
+//! The loader copies at most one run of events at a time (plus the
 //! resident index: offsets and per-event feature rows). Input is chunked
 //! into runs of `run_events`, each stably sorted by timestamp
 //! (`f64::total_cmp`) and spilled to disk; a k-way merge (one heap entry
@@ -23,12 +23,14 @@ use std::path::{Path, PathBuf};
 use benchtemp_obs::counters::STORE_BULK_EVENTS;
 
 use crate::cache::CachedPager;
-use crate::snapshot::{Manifest, COL_EFEAT, COL_EVI, COL_EVT, COL_FEAT, COL_NBR, COL_OFF, COL_TS};
-use crate::{Column, StoreEvent, EVT_RECORD_BYTES};
+use crate::{Column, Columns, StoreEvent};
+
+/// On-disk size of one event record in the run and merge temp files.
+const EVT_RECORD_BYTES: usize = 20;
 
 /// Serialize one event as the 20-byte run/merge record (no checksum — the
 /// temp files live and die inside one bulk load).
-pub(crate) fn encode_ev20(ev: &StoreEvent) -> [u8; EVT_RECORD_BYTES] {
+fn encode_ev20(ev: &StoreEvent) -> [u8; EVT_RECORD_BYTES] {
     let mut rec = [0u8; EVT_RECORD_BYTES];
     rec[0..4].copy_from_slice(&ev.src.to_le_bytes());
     rec[4..8].copy_from_slice(&ev.dst.to_le_bytes());
@@ -37,7 +39,7 @@ pub(crate) fn encode_ev20(ev: &StoreEvent) -> [u8; EVT_RECORD_BYTES] {
     rec
 }
 
-pub(crate) fn decode_ev20(rec: &[u8; EVT_RECORD_BYTES]) -> StoreEvent {
+fn decode_ev20(rec: &[u8; EVT_RECORD_BYTES]) -> StoreEvent {
     StoreEvent {
         src: u32::from_le_bytes(rec[0..4].try_into().unwrap()),
         dst: u32::from_le_bytes(rec[4..8].try_into().unwrap()),
@@ -99,42 +101,49 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Spill sorted runs, k-way merge them into `sorted.tmp`, and return the
-/// merged path plus the event count.
+/// The bulk load's temp files, removed when the guard drops, so every
+/// exit path — a rejected event or an I/O error mid-sort included —
+/// leaves none behind in the caller's directory.
+struct TempFiles(Vec<PathBuf>);
+
+impl TempFiles {
+    /// Create (truncate) a temp file and register it for removal.
+    fn create(&mut self, path: PathBuf) -> io::Result<BufWriter<File>> {
+        let file = File::create(&path);
+        self.0.push(path);
+        Ok(BufWriter::new(file?))
+    }
+}
+
+impl Drop for TempFiles {
+    fn drop(&mut self) {
+        for p in &self.0 {
+            std::fs::remove_file(p).ok();
+        }
+    }
+}
+
+/// Spill stably sorted runs of `run_events`, then k-way merge them into
+/// `out`. The run files are removed on return.
 fn sort_externally(
     dir: &Path,
-    events: impl Iterator<Item = io::Result<StoreEvent>>,
+    events: &[StoreEvent],
     run_events: usize,
-) -> io::Result<(PathBuf, u64)> {
-    let run_events = run_events.max(1);
-    let mut run_paths: Vec<PathBuf> = Vec::new();
-    let mut run: Vec<StoreEvent> = Vec::with_capacity(run_events);
-    let spill = |run: &mut Vec<StoreEvent>, run_paths: &mut Vec<PathBuf>| -> io::Result<()> {
-        if run.is_empty() {
-            return Ok(());
-        }
+    mut out: BufWriter<File>,
+) -> io::Result<()> {
+    let mut runs = TempFiles(Vec::new());
+    for chunk in events.chunks(run_events.max(1)) {
+        let mut run = chunk.to_vec();
         run.sort_by(|a, b| a.t.total_cmp(&b.t)); // stable
-        let path = dir.join(format!("bulk_run_{}.tmp", run_paths.len()));
-        let mut w = BufWriter::new(File::create(&path)?);
-        for ev in run.iter() {
+        let mut w = runs.create(dir.join(format!("bulk_run_{}.tmp", runs.0.len())))?;
+        for ev in &run {
             w.write_all(&encode_ev20(ev))?;
         }
         w.flush()?;
-        run_paths.push(path);
-        run.clear();
-        Ok(())
-    };
-    for ev in events {
-        run.push(ev?);
-        if run.len() == run_events {
-            spill(&mut run, &mut run_paths)?;
-        }
     }
-    spill(&mut run, &mut run_paths)?;
 
-    let sorted_path = dir.join("bulk_sorted.tmp");
-    let mut out = BufWriter::new(File::create(&sorted_path)?);
-    let mut readers: Vec<BufReader<File>> = run_paths
+    let mut readers: Vec<BufReader<File>> = runs
+        .0
         .iter()
         .map(|p| File::open(p).map(BufReader::new))
         .collect::<io::Result<_>>()?;
@@ -144,34 +153,29 @@ fn sort_externally(
             heap.push(MergeItem { ev, run });
         }
     }
-    let mut count = 0u64;
     while let Some(MergeItem { ev, run }) = heap.pop() {
         out.write_all(&encode_ev20(&ev))?;
-        count += 1;
         if let Some(next) = read_ev20(&mut readers[run])? {
             heap.push(MergeItem { ev: next, run });
         }
     }
-    out.flush()?;
-    for p in &run_paths {
-        std::fs::remove_file(p).ok();
-    }
-    Ok((sorted_path, count))
+    out.flush()
 }
 
-/// Build all store columns inside `cp` from an event stream. Returns the
-/// manifest (page tables + allocation state) and the resident index
-/// (offsets, per-event feature rows).
+/// Build the adjacency columns inside `cp` from an event slice. Returns
+/// the columns and the resident index (offsets, per-event feature rows).
 pub(crate) fn build(
     dir: &Path,
     cp: &CachedPager,
     num_nodes: usize,
-    events: impl Iterator<Item = io::Result<StoreEvent>>,
-    edge_features: Option<(usize, usize, &[f32])>,
+    events: &[StoreEvent],
     run_events: usize,
-) -> io::Result<(Manifest, Vec<u64>, Vec<u32>)> {
+) -> io::Result<(Columns, Vec<u64>, Vec<u32>)> {
     let _span = benchtemp_obs::span("store.bulk_load");
-    let (sorted_path, num_events) = sort_externally(dir, events, run_events)?;
+    let mut temps = TempFiles(Vec::new());
+    let sorted_path = dir.join("bulk_sorted.tmp");
+    sort_externally(dir, events, run_events, temps.create(sorted_path.clone())?)?;
+    let num_events = events.len() as u64;
     let num_entries = num_events * 2;
 
     // Pass A: degree counts → offsets (the resident index).
@@ -198,99 +202,36 @@ pub(crate) fn build(
     }
     drop(degree);
 
-    // Allocate every column up front.
-    let col_off = Column::with_len(cp, (num_nodes as u64 + 1) * 8);
-    let col_nbr = Column::with_len(cp, num_entries * 4);
-    let col_ts = Column::with_len(cp, num_entries * 8);
-    let col_evi = Column::with_len(cp, num_entries * 4);
-    let col_feat = Column::with_len(cp, num_events * 4);
-    let col_evt = Column::with_len(cp, num_events * EVT_RECORD_BYTES as u64);
-    let (feat_rows, feat_cols) = edge_features.map_or((0, 0), |(r, c, _)| (r, c));
-    let col_efeat = Column::with_len(cp, (feat_rows as u64) * (feat_cols as u64) * 4);
+    let cols = Columns {
+        nbr: Column::with_len(cp, num_entries * 4),
+        ts: Column::with_len(cp, num_entries * 8),
+        evi: Column::with_len(cp, num_entries * 4),
+    };
 
-    // Offsets column, written in page-sized strides.
-    {
-        let mut buf = Vec::with_capacity(1024 * 8);
-        let mut byte_off = 0u64;
-        for chunk in offsets.chunks(1024) {
-            buf.clear();
-            for &v in chunk {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            col_off.write_bytes(cp, byte_off, &buf)?;
-            byte_off += buf.len() as u64;
-        }
-    }
-
-    // Pass B: fill the CSR SoA columns at per-node cursors and the event
-    // columns sequentially. Random node order means random page writes;
-    // the write-back cache absorbs them inside the byte budget.
-    let mut event_feat = vec![0u32; num_events as usize];
+    // Pass B: fill the CSR SoA columns at per-node cursors. Random node
+    // order means random page writes; the write-back cache absorbs them
+    // inside the byte budget.
+    let mut event_feat = vec![0u32; events.len()];
     {
         let mut cursor: Vec<u64> = offsets[..num_nodes].to_vec();
         let mut r = BufReader::new(File::open(&sorted_path)?);
         let mut idx = 0u64;
         while let Some(ev) = read_ev20(&mut r)? {
-            col_evt.write_bytes(cp, idx * EVT_RECORD_BYTES as u64, &encode_ev20(&ev))?;
             event_feat[idx as usize] = ev.feat;
             for (node, other) in [(ev.src, ev.dst), (ev.dst, ev.src)] {
                 let c = cursor[node as usize];
                 cursor[node as usize] += 1;
-                col_nbr.write_bytes(cp, c * 4, &other.to_le_bytes())?;
-                col_ts.write_bytes(cp, c * 8, &ev.t.to_bits().to_le_bytes())?;
-                col_evi.write_bytes(cp, c * 4, &(idx as u32).to_le_bytes())?;
+                cols.nbr.write_bytes(cp, c * 4, &other.to_le_bytes())?;
+                cols.ts
+                    .write_bytes(cp, c * 8, &ev.t.to_bits().to_le_bytes())?;
+                cols.evi
+                    .write_bytes(cp, c * 4, &(idx as u32).to_le_bytes())?;
             }
             idx += 1;
         }
         debug_assert_eq!(idx, num_events);
     }
 
-    // Per-event feature-row column (bulk, from the resident copy).
-    {
-        let mut buf = Vec::with_capacity(2048 * 4);
-        let mut byte_off = 0u64;
-        for chunk in event_feat.chunks(2048) {
-            buf.clear();
-            for &v in chunk {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            col_feat.write_bytes(cp, byte_off, &buf)?;
-            byte_off += buf.len() as u64;
-        }
-    }
-
-    // Edge-feature matrix (row-major f32), paged.
-    if let Some((_, _, data)) = edge_features {
-        debug_assert_eq!(data.len(), feat_rows * feat_cols);
-        let mut buf = Vec::with_capacity(2048 * 4);
-        let mut byte_off = 0u64;
-        for chunk in data.chunks(2048) {
-            buf.clear();
-            for &v in chunk {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-            col_efeat.write_bytes(cp, byte_off, &buf)?;
-            byte_off += buf.len() as u64;
-        }
-    }
-
-    std::fs::remove_file(&sorted_path).ok();
     STORE_BULK_EVENTS.add(num_events);
-
-    let mut manifest = Manifest::new();
-    manifest.num_nodes = num_nodes as u64;
-    manifest.num_events = num_events;
-    manifest.num_entries = num_entries;
-    manifest.feat_rows = feat_rows as u64;
-    manifest.feat_cols = feat_cols as u64;
-    manifest.col_pages[COL_OFF] = col_off.pages;
-    manifest.col_pages[COL_NBR] = col_nbr.pages;
-    manifest.col_pages[COL_TS] = col_ts.pages;
-    manifest.col_pages[COL_EVI] = col_evi.pages;
-    manifest.col_pages[COL_FEAT] = col_feat.pages;
-    manifest.col_pages[COL_EVT] = col_evt.pages;
-    manifest.col_pages[COL_EFEAT] = col_efeat.pages;
-    manifest.num_pages = cp.num_pages();
-    manifest.free = cp.free_list();
-    Ok((manifest, offsets, event_feat))
+    Ok((cols, offsets, event_feat))
 }

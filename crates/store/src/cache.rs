@@ -152,24 +152,6 @@ impl CachedPager {
         })
     }
 
-    /// Open an existing page file (allocation state from the manifest).
-    pub fn open(
-        path: &std::path::Path,
-        budget_bytes: Option<usize>,
-        num_pages: u64,
-        free: Vec<PageId>,
-    ) -> io::Result<Self> {
-        Ok(CachedPager {
-            inner: Mutex::new(Inner {
-                pager: Pager::open(path, num_pages, free)?,
-                frames: Vec::new(),
-                map: HashMap::new(),
-                hand: 0,
-                max_frames: Self::budget_frames(budget_bytes),
-            }),
-        })
-    }
-
     /// Read access to one page. The closure must not re-enter the cache.
     pub fn with_page<R>(&self, page: PageId, f: impl FnOnce(&[u8]) -> R) -> io::Result<R> {
         let mut inner = self.inner.lock().expect("page cache poisoned");
@@ -194,12 +176,6 @@ impl CachedPager {
             .alloc()
     }
 
-    pub fn free_page(&self, id: PageId) {
-        let mut inner = self.inner.lock().expect("page cache poisoned");
-        inner.map.remove(&id);
-        inner.pager.free_page(id);
-    }
-
     /// Write back every dirty frame and sync the file.
     pub fn flush(&self) -> io::Result<()> {
         self.inner.lock().expect("page cache poisoned").flush()
@@ -208,28 +184,6 @@ impl CachedPager {
     /// Bytes currently held by cache frames (≤ budget by construction).
     pub fn resident_bytes(&self) -> usize {
         self.inner.lock().expect("page cache poisoned").frames.len() * PAGE_SIZE
-    }
-
-    /// Frame-count ceiling implied by the budget (test/bench introspection).
-    pub fn max_frames(&self) -> usize {
-        self.inner.lock().expect("page cache poisoned").max_frames
-    }
-
-    pub fn num_pages(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("page cache poisoned")
-            .pager
-            .num_pages()
-    }
-
-    pub fn free_list(&self) -> Vec<PageId> {
-        self.inner
-            .lock()
-            .expect("page cache poisoned")
-            .pager
-            .free_list()
-            .to_vec()
     }
 }
 
@@ -248,7 +202,7 @@ mod tests {
     fn tiny_budget_evicts_and_preserves_data() {
         let path = tmp("evict");
         let cp = CachedPager::create(&path, Some(1)).unwrap(); // floor: MIN_FRAMES
-        assert_eq!(cp.max_frames(), MIN_FRAMES);
+        assert_eq!(cp.inner.lock().unwrap().max_frames, MIN_FRAMES);
         let pages: Vec<PageId> = (0..(MIN_FRAMES * 3)).map(|_| cp.alloc()).collect();
         let before = STORE_PAGE_EVICTIONS.get();
         for (i, &pg) in pages.iter().enumerate() {
@@ -266,19 +220,21 @@ mod tests {
     }
 
     #[test]
-    fn flush_persists_across_reopen() {
+    fn flush_writes_dirty_pages_to_file() {
         let path = tmp("flush");
-        let (num_pages, free);
-        {
-            let cp = CachedPager::create(&path, Some(1 << 20)).unwrap();
-            let pg = cp.alloc();
-            cp.with_page_mut(pg, |buf| buf[0] = 42).unwrap();
-            cp.flush().unwrap();
-            num_pages = cp.num_pages();
-            free = cp.free_list();
-        }
-        let cp = CachedPager::open(&path, Some(1 << 20), num_pages, free).unwrap();
-        assert_eq!(cp.with_page(0, |buf| buf[0]).unwrap(), 42);
+        let cp = CachedPager::create(&path, Some(1 << 20)).unwrap();
+        let (a, b) = (cp.alloc(), cp.alloc());
+        cp.with_page_mut(b, |buf| buf[0] = 42).unwrap();
+        // Write-back: a dirty frame reaches the file only on flush (or
+        // eviction, which this budget never forces).
+        assert_eq!(std::fs::read(&path).unwrap().len(), 0);
+        cp.flush().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), 2 * PAGE_SIZE, "page {b} lands at its offset");
+        assert_eq!(bytes[b as usize * PAGE_SIZE], 42);
+        assert!(bytes[a as usize * PAGE_SIZE..b as usize * PAGE_SIZE]
+            .iter()
+            .all(|&x| x == 0));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -1,12 +1,8 @@
-//! Raw paged file: fixed-size pages addressed by [`PageId`], with a free
-//! list so rebuilt columns can recycle space instead of growing the file.
+//! Raw paged file: fixed-size pages addressed by [`PageId`].
 //!
 //! The pager is deliberately dumb — it reads and writes whole pages at
-//! absolute offsets and tracks which page ids are allocatable. Caching,
-//! eviction, and dirty tracking live one layer up in [`crate::cache`];
-//! durability of the free list lives in the manifest
-//! ([`crate::snapshot`]), which persists it alongside the column page
-//! tables so a reopened store sees the same allocation state it flushed.
+//! absolute offsets and hands out page ids in order. Caching, eviction,
+//! and dirty tracking live one layer up in [`crate::cache`].
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -21,11 +17,10 @@ pub const PAGE_SIZE: usize = 8192;
 /// Index of a page within the store file (byte offset = id × PAGE_SIZE).
 pub type PageId = u64;
 
-/// A page-granular file with an in-memory free list.
+/// A page-granular file.
 pub struct Pager {
     file: File,
     num_pages: u64,
-    free: Vec<PageId>,
 }
 
 impl Pager {
@@ -37,38 +32,14 @@ impl Pager {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Pager {
-            file,
-            num_pages: 0,
-            free: Vec::new(),
-        })
+        Ok(Pager { file, num_pages: 0 })
     }
 
-    /// Open an existing page file with allocation state recovered from the
-    /// manifest.
-    pub fn open(path: &Path, num_pages: u64, free: Vec<PageId>) -> io::Result<Self> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        Ok(Pager {
-            file,
-            num_pages,
-            free,
-        })
-    }
-
-    /// Allocate a page id: recycle from the free list, else extend the file.
+    /// Allocate the next page id; the file grows when the page is written.
     pub fn alloc(&mut self) -> PageId {
-        if let Some(id) = self.free.pop() {
-            return id;
-        }
         let id = self.num_pages;
         self.num_pages += 1;
         id
-    }
-
-    /// Return a page to the free list for reuse by a later [`Pager::alloc`].
-    pub fn free_page(&mut self, id: PageId) {
-        debug_assert!(id < self.num_pages, "freeing unallocated page {id}");
-        self.free.push(id);
     }
 
     /// Read one whole page into `buf`. Pages that were allocated but never
@@ -94,14 +65,6 @@ impl Pager {
     pub fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         self.file.write_all_at(buf, id * PAGE_SIZE as u64)
-    }
-
-    pub fn num_pages(&self) -> u64 {
-        self.num_pages
-    }
-
-    pub fn free_list(&self) -> &[PageId] {
-        &self.free
     }
 
     pub fn sync(&self) -> io::Result<()> {
@@ -137,18 +100,6 @@ mod tests {
         // Page `a` was allocated but never written: reads as zeroes.
         p.read_page(a, &mut back).unwrap();
         assert!(back.iter().all(|&x| x == 0));
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn free_list_recycles() {
-        let path = tmp("fl");
-        let mut p = Pager::create(&path).unwrap();
-        let a = p.alloc();
-        let _b = p.alloc();
-        p.free_page(a);
-        assert_eq!(p.alloc(), a, "freed page must be recycled first");
-        assert_eq!(p.alloc(), 2, "then the file grows");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }
