@@ -8,11 +8,8 @@ cd "$(dirname "${BASH_SOURCE[0]}")"
 echo "== ci: cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== ci: cargo clippy -D warnings =="
+echo "== ci: cargo clippy -D warnings (workspace rules: clippy.toml, DESIGN.md §10) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
-
-echo "== ci: workspace audit (token rules + env registry + protocol model) =="
-cargo run --release --offline -p benchtemp-audit
 
 echo "== ci: tier-1 verify =="
 cargo build --release --offline

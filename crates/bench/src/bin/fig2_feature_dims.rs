@@ -2,28 +2,22 @@
 //! node-feature dimension sweeps 4 → 172: the experiment behind the paper's
 //! decision to standardize on 172 dims (§3.1).
 
-use benchtemp_bench::{save_json, Protocol, TableBuilder};
+use benchtemp_bench::{feature_dim_graph, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::LinkPredSplit;
 use benchtemp_core::pipeline::train_link_prediction;
-use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_graph::features::{figure2_dims, FeatureInit};
+use benchtemp_graph::features::figure2_dims;
 use benchtemp_models::zoo;
 
 fn main() {
     let protocol = Protocol::from_args();
     let models = protocol.select_models(&["JODIE", "TGN", "TGAT", "NAT"]);
     let mut table = TableBuilder::new();
+    let mut raw_runs = Vec::new();
 
     for dim in figure2_dims() {
         for model_name in &models {
             for seed in 0..protocol.seeds as u64 {
-                let mut cfg = BenchDataset::Mooc.config(protocol.scale, seed ^ 0xf19);
-                cfg.node_dim = dim;
-                cfg.node_feature_init = FeatureInit::RandomFixed {
-                    seed: seed ^ 0x5eed,
-                    std: 0.1,
-                };
-                let graph = cfg.generate();
+                let graph = feature_dim_graph(protocol.scale, seed, dim);
                 let split = LinkPredSplit::new(&graph, seed);
                 let mut model = zoo::build(model_name, protocol.model_config(seed), &graph);
                 let run = train_link_prediction(
@@ -37,6 +31,7 @@ fn main() {
                     run.transductive.auc
                 );
                 table.add(&format!("dim={dim}"), model_name, run.transductive.auc);
+                raw_runs.push(run);
             }
         }
     }
@@ -53,4 +48,5 @@ fn main() {
         "fig2_feature_dims.json",
         &table.to_entries(),
     );
+    save_json(&protocol.out_dir, "fig2_raw_runs.json", &raw_runs);
 }

@@ -12,6 +12,7 @@ fn main() {
     let protocol = Protocol::from_args();
     let mut auc = TableBuilder::new();
     let mut ap = TableBuilder::new();
+    let mut raw_runs = Vec::new();
 
     for dataset in [BenchDataset::CanParl, BenchDataset::UsLegis] {
         for variant in ["NeurTW", "NeurTW-noNODE"] {
@@ -28,6 +29,7 @@ fn main() {
                     auc.add(&row, variant, m.auc);
                     ap.add(&row, variant, m.ap);
                 }
+                raw_runs.push(run);
             }
         }
     }
@@ -51,4 +53,5 @@ fn main() {
             "ap": ap.to_entries(),
         }),
     );
+    save_json(&protocol.out_dir, "table23_raw_runs.json", &raw_runs);
 }

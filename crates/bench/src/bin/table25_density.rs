@@ -3,92 +3,15 @@
 //! N_e but different temporal densities σ = N_e / (N_u · N_i); the temporal
 //! walk mechanism should do visibly better on the denser subgraph.
 
-use benchtemp_bench::{render_table, run_lp_seed_on, save_json, Protocol, TableBuilder};
+use benchtemp_bench::{
+    density, density_subgraphs, render_table, run_lp_seed_on, save_json, Protocol, TableBuilder,
+};
 use benchtemp_core::dataloader::Setting;
-use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
-use benchtemp_tensor::Matrix;
 use benchtemp_util::{json, Json, ToJson};
-
-/// Restrict a bipartite graph to its `top_items` most frequent items and
-/// truncate to `n_edges` events, remapping node ids to a contiguous range.
-fn subgraph(graph: &TemporalGraph, top_items: usize, n_edges: usize, name: &str) -> TemporalGraph {
-    let mut item_freq = vec![0usize; graph.num_nodes];
-    for ev in &graph.events {
-        item_freq[ev.dst] += 1;
-    }
-    let mut items: Vec<usize> = (graph.num_users..graph.num_nodes).collect();
-    items.sort_by_key(|&i| std::cmp::Reverse(item_freq[i]));
-    items.truncate(top_items);
-    let keep: std::collections::HashSet<usize> = items.into_iter().collect();
-
-    let events: Vec<Interaction> = graph
-        .events
-        .iter()
-        .filter(|e| keep.contains(&e.dst))
-        .take(n_edges)
-        .copied()
-        .collect();
-    // Remap: users first (contiguous), then items.
-    let mut user_map = std::collections::HashMap::new();
-    let mut item_map = std::collections::HashMap::new();
-    for ev in &events {
-        let n = user_map.len();
-        user_map.entry(ev.src).or_insert(n);
-    }
-    let num_users = user_map.len();
-    for ev in &events {
-        let n = num_users + item_map.len();
-        item_map.entry(ev.dst).or_insert(n);
-    }
-    let num_nodes = num_users + item_map.len();
-    let mut node_features = Matrix::zeros(num_nodes, graph.node_dim());
-    for (&old, &new) in user_map.iter().chain(item_map.iter()) {
-        node_features.set_row(new, graph.node_features.row(old));
-    }
-    let mut edge_features = Matrix::zeros(events.len(), graph.edge_dim());
-    let events: Vec<Interaction> = events
-        .into_iter()
-        .enumerate()
-        .map(|(r, ev)| {
-            edge_features.set_row(r, graph.edge_features.row(ev.feat_idx));
-            Interaction {
-                src: user_map[&ev.src],
-                dst: item_map[&ev.dst],
-                t: ev.t,
-                feat_idx: r,
-            }
-        })
-        .collect();
-    let sub = TemporalGraph {
-        name: name.to_string(),
-        bipartite: true,
-        num_nodes,
-        num_users,
-        events,
-        edge_features,
-        node_features,
-        labels: None,
-    };
-    assert_eq!(sub.validate(), Ok(()));
-    sub
-}
-
-fn density(g: &TemporalGraph) -> f64 {
-    let items = g.num_nodes - g.num_users;
-    g.num_events() as f64 / (g.num_users as f64 * items as f64)
-}
 
 fn main() {
     let protocol = Protocol::from_args();
-    // A denser base graph so the sparse subgraph is still connected enough.
-    let mut base_cfg = BenchDataset::Mooc.config((protocol.scale * 4.0).min(1.0), 0x900c);
-    base_cfg.num_items = base_cfg.num_items.max(40);
-    let base = base_cfg.generate();
-    let n_edges = base.num_events() / 3;
-    let items = base.num_nodes - base.num_users;
-    let g_s1 = subgraph(&base, (items / 8).max(3), n_edges, "G_S1-dense");
-    let g_s2 = subgraph(&base, items, n_edges, "G_S2-sparse");
+    let [g_s1, g_s2] = density_subgraphs(protocol.scale);
 
     let headers: Vec<String> = ["Subgraph", "N_e", "N_u", "N_i", "σ (density)"]
         .iter()
@@ -117,6 +40,7 @@ fn main() {
 
     let mut auc = TableBuilder::new();
     let mut ap = TableBuilder::new();
+    let mut raw_runs = Vec::new();
     for g in [&g_s1, &g_s2] {
         for seed in 0..protocol.seeds as u64 {
             let run = run_lp_seed_on("CAWN", g, &protocol, seed);
@@ -129,6 +53,7 @@ fn main() {
                 auc.add(&g.name, setting.name(), m.auc);
                 ap.add(&g.name, setting.name(), m.ap);
             }
+            raw_runs.push(run);
         }
     }
     println!(
@@ -153,4 +78,5 @@ fn main() {
             "ap": ap.to_entries(),
         }),
     );
+    save_json(&protocol.out_dir, "table25_raw_runs.json", &raw_runs);
 }

@@ -24,6 +24,7 @@ fn main() {
 
     let mut auc = TableBuilder::new();
     let mut ap = TableBuilder::new();
+    let mut raw_runs = Vec::new();
     for &dataset in &datasets {
         for (sname, strategy) in strategies {
             for seed in 0..protocol.seeds as u64 {
@@ -50,6 +51,7 @@ fn main() {
                     auc.add(&row, setting.name(), m.auc);
                     ap.add(&row, setting.name(), m.ap);
                 }
+                raw_runs.push(run);
             }
         }
     }
@@ -76,4 +78,5 @@ fn main() {
             "ap": ap.to_entries(),
         }),
     );
+    save_json(&protocol.out_dir, "table26_raw_runs.json", &raw_runs);
 }

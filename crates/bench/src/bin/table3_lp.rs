@@ -124,7 +124,7 @@ fn main() {
                 "{}",
                 table.render(
                     &format!(
-                        "Ranking ({}) — filtered-negative MRR (K={})",
+                        "Ranking ({}) — filtered-negative MRR (K≤{}; k_effective per run in the raw runs)",
                         setting.name(),
                         protocol.rank_negatives
                     ),

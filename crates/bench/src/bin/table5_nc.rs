@@ -25,6 +25,7 @@ fn main() {
     let mut state = TableBuilder::new();
     let mut util = TableBuilder::new();
     let mut raw = Vec::new();
+    let mut pretrain_raw = Vec::new();
 
     for &dataset in &datasets {
         for model_name in &models {
@@ -34,12 +35,12 @@ fn main() {
                 // encoder is the trained one.
                 let split = benchtemp_core::dataloader::LinkPredSplit::new(&graph, seed);
                 let mut model = zoo::build(model_name, protocol.model_config(seed), &graph);
-                let _ = benchtemp_core::pipeline::train_link_prediction(
+                pretrain_raw.push(benchtemp_core::pipeline::train_link_prediction(
                     model.as_mut(),
                     &graph,
                     &split,
                     &protocol.train_config(seed),
-                );
+                ));
                 let run =
                     train_node_classification(model.as_mut(), &graph, &protocol.train_config(seed));
                 eprintln!(
@@ -100,4 +101,9 @@ fn main() {
         }),
     );
     save_json(&protocol.out_dir, "table5_raw_runs.json", &raw);
+    save_json(
+        &protocol.out_dir,
+        "table5_pretrain_raw_runs.json",
+        &pretrain_raw,
+    );
 }

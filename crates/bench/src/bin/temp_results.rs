@@ -17,6 +17,7 @@ fn main() {
     let mut auc = TableBuilder::new();
     let mut ap = TableBuilder::new();
     let mut eff = TableBuilder::new();
+    let mut raw_runs = Vec::new();
     for &dataset in &datasets {
         for seed in 0..protocol.seeds as u64 {
             let run = run_lp_seed("TeMP", dataset, &protocol, seed);
@@ -46,6 +47,7 @@ fn main() {
                 run.efficiency.model_state_bytes as f64 / 1e6,
             );
             eff.add(ds, "Util (%)", run.efficiency.compute_utilization * 100.0);
+            raw_runs.push(run);
         }
     }
     println!(
@@ -110,4 +112,5 @@ fn main() {
             "table15_nc": nc.to_entries(),
         }),
     );
+    save_json(&protocol.out_dir, "temp_raw_runs.json", &raw_runs);
 }

@@ -13,7 +13,7 @@
 //! Exits non-zero with a message on any violation; prints `TRACE_CHECK_OK`
 //! on success so `ci.sh` can grep for it.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
 
 use benchtemp_core::dataloader::LinkPredSplit;
@@ -23,10 +23,11 @@ use benchtemp_core::NegativeStrategy;
 use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_models::common::ModelConfig;
 use benchtemp_models::zoo;
+use benchtemp_util::env::{self, Knob};
 use benchtemp_util::json;
 
 fn main() {
-    let path = std::env::var("BENCHTEMP_TRACE").unwrap_or_else(|_| {
+    let path = env::var(Knob::Trace).unwrap_or_else(|| {
         eprintln!("trace_check: set BENCHTEMP_TRACE=<path> before running");
         std::process::exit(2);
     });
@@ -65,7 +66,7 @@ fn main() {
         .unwrap_or_else(|e| panic!("trace_check: cannot read {path}: {e}"));
     assert!(!text.is_empty(), "trace file {path} is empty");
 
-    let mut open: HashMap<(u64, u64), String> = HashMap::new();
+    let mut open: BTreeMap<(u64, u64), String> = BTreeMap::new();
     let mut spans_seen: HashSet<String> = HashSet::new();
     let mut counters_seen = false;
     let mut events = 0usize;

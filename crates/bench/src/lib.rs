@@ -7,10 +7,6 @@
 //! by `--scale` (see `BenchDataset::config`); results are written both as
 //! aligned text (stdout) and JSON under `results/`.
 
-// audit-allow-file(no-wallclock-outside-obs): the bench harness *is* a
-// wall-clock; every Instant in this file is a calibration or sample timer
-// whose readings are reported, never fed back into the computation.
-
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -21,8 +17,10 @@ use benchtemp_core::dataloader::LinkPredSplit;
 use benchtemp_core::pipeline::{train_link_prediction, LinkPredictionRun, TrainConfig};
 use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_graph::temporal_graph::TemporalGraph;
+use benchtemp_graph::features::FeatureInit;
+use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_models::common::ModelConfig;
+use benchtemp_tensor::Matrix;
 
 /// Command-line protocol shared by the harness binaries.
 #[derive(Clone, Debug)]
@@ -182,6 +180,104 @@ pub fn run_lp_seed_on(
     train_link_prediction(model.as_mut(), graph, &split, &protocol.train_config(seed))
 }
 
+/// The Fig. 2 dataset: MOOC-style, with `node_dim` random fixed initial
+/// node features.
+pub fn feature_dim_graph(scale: f64, seed: u64, node_dim: usize) -> TemporalGraph {
+    let mut cfg = BenchDataset::Mooc.config(scale, seed ^ 0xf19);
+    cfg.node_dim = node_dim;
+    cfg.node_feature_init = FeatureInit::RandomFixed {
+        seed: seed ^ 0x5eed,
+        std: 0.1,
+    };
+    cfg.generate()
+}
+
+/// Restrict a bipartite graph to its `top_items` most frequent items and
+/// truncate to `n_edges` events, remapping node ids to a contiguous range.
+fn subgraph(graph: &TemporalGraph, top_items: usize, n_edges: usize, name: &str) -> TemporalGraph {
+    let mut item_freq = vec![0usize; graph.num_nodes];
+    for ev in &graph.events {
+        item_freq[ev.dst] += 1;
+    }
+    let mut items: Vec<usize> = (graph.num_users..graph.num_nodes).collect();
+    items.sort_by_key(|&i| std::cmp::Reverse(item_freq[i]));
+    items.truncate(top_items);
+    let keep: std::collections::HashSet<usize> = items.into_iter().collect();
+
+    let events: Vec<Interaction> = graph
+        .events
+        .iter()
+        .filter(|e| keep.contains(&e.dst))
+        .take(n_edges)
+        .copied()
+        .collect();
+    // Remap: users first (contiguous), then items.
+    let mut user_map = std::collections::HashMap::new();
+    let mut item_map = std::collections::HashMap::new();
+    for ev in &events {
+        let n = user_map.len();
+        user_map.entry(ev.src).or_insert(n);
+    }
+    let num_users = user_map.len();
+    for ev in &events {
+        let n = num_users + item_map.len();
+        item_map.entry(ev.dst).or_insert(n);
+    }
+    let num_nodes = num_users + item_map.len();
+    let mut node_features = Matrix::zeros(num_nodes, graph.node_dim());
+    let mut edge_features = Matrix::zeros(events.len(), graph.edge_dim());
+    let events: Vec<Interaction> = events
+        .into_iter()
+        .enumerate()
+        .map(|(r, ev)| {
+            let (src, dst) = (user_map[&ev.src], item_map[&ev.dst]);
+            node_features.set_row(src, graph.node_features.row(ev.src));
+            node_features.set_row(dst, graph.node_features.row(ev.dst));
+            edge_features.set_row(r, graph.edge_features.row(ev.feat_idx));
+            Interaction {
+                src,
+                dst,
+                t: ev.t,
+                feat_idx: r,
+            }
+        })
+        .collect();
+    let sub = TemporalGraph {
+        name: name.to_string(),
+        bipartite: true,
+        num_nodes,
+        num_users,
+        events,
+        edge_features,
+        node_features,
+        labels: None,
+    };
+    assert_eq!(sub.validate(), Ok(()));
+    sub
+}
+
+/// Temporal density σ = N_e / (N_u · N_i) of a bipartite graph.
+pub fn density(g: &TemporalGraph) -> f64 {
+    let items = g.num_nodes - g.num_users;
+    g.num_events() as f64 / (g.num_users as f64 * items as f64)
+}
+
+/// The two Appendix-I subgraphs of Tables 24 & 25: the same edge count N_e
+/// drawn from a MOOC-style base graph, once over its most frequent eighth of
+/// the items (`G_S1-dense`) and once over all of them (`G_S2-sparse`).
+pub fn density_subgraphs(scale: f64) -> [TemporalGraph; 2] {
+    // A denser base graph so the sparse subgraph is still connected enough.
+    let mut base_cfg = BenchDataset::Mooc.config((scale * 4.0).min(1.0), 0x900c);
+    base_cfg.num_items = base_cfg.num_items.max(40);
+    let base = base_cfg.generate();
+    let n_edges = base.num_events() / 3;
+    let items = base.num_nodes - base.num_users;
+    [
+        subgraph(&base, (items / 8).max(3), n_edges, "G_S1-dense"),
+        subgraph(&base, items, n_edges, "G_S2-sparse"),
+    ]
+}
+
 /// Aggregated (mean ± std) cell.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Cell {
@@ -260,6 +356,10 @@ pub mod timing {
     }
 
     /// Median ns/iter of `f` without printing.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a calibration and sample timer whose readings are reported, never computed on"
+    )]
     pub fn measure<T, F: FnMut() -> T>(f: &mut F) -> f64 {
         // Warm-up doubles as calibration.
         let start = Instant::now();

@@ -7,6 +7,11 @@
 //! — and *precomputed once per split*, so every model ranks against the
 //! identical candidates and results are comparable across the zoo.
 //!
+//! Small datasets cannot always supply K valid negatives per query. Then
+//! every query gets `k_effective` candidates, the smallest valid pool over
+//! the queries — the per-dataset clamp TGB (arxiv 2307.01026) permits —
+//! and ranking reports `k_effective` beside MRR so results stay comparable.
+//!
 //! Determinism: each query draws from its own RNG stream seeded by a pure
 //! function of `(builder seed, query index, src, dst, t)` — the same
 //! per-root stream-seed pattern the neighbor sampler uses — so the sets
@@ -23,7 +28,8 @@ use crate::sampler::{candidate_pool, destination_range, NegativeStrategy};
 /// Precomputed K-negative candidate sets for one event stream.
 #[derive(Clone, Debug)]
 pub struct FilteredNegativeSet {
-    /// Negatives per query.
+    /// Negatives per query: `k_effective`, the requested k clamped to the
+    /// smallest valid pool over the queries.
     pub k: usize,
     /// Number of queries (events) the set covers.
     n: usize,
@@ -76,14 +82,30 @@ impl TrueEdgeIndex {
     }
 }
 
+/// A ranking pass that cannot run: some query has no valid negative at all
+/// after filtering, so `k_effective` would be 0.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RankingError {
+    pub dataset: String,
+    pub query: usize,
+    pub strategy: NegativeStrategy,
+}
+
+impl std::fmt::Display for RankingError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "filtered negatives for '{}': query {} has no valid candidate in the {:?} pool",
+            self.dataset, self.query, self.strategy
+        )
+    }
+}
+
+impl std::error::Error for RankingError {}
+
 impl FilteredNegativeSet {
-    /// Build candidate sets for `events`. `train` feeds the
-    /// Historical/Inductive pools (same pools as [`crate::EdgeSampler`]);
-    /// the collision filter always consults the *full* graph.
-    ///
-    /// Panics if the candidate universe cannot supply `k` distinct valid
-    /// negatives for some query — that is a configuration error (K too
-    /// large for the dataset), not something to paper over silently.
+    /// [`Self::try_build`] for callers that treat an empty pool as a
+    /// configuration error. Panics with the [`RankingError`].
     pub fn build(
         graph: &TemporalGraph,
         train: &[Interaction],
@@ -92,6 +114,27 @@ impl FilteredNegativeSet {
         k: usize,
         seed: u64,
     ) -> Self {
+        Self::try_build(graph, train, events, strategy, k, seed).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build candidate sets for `events`. `train` feeds the
+    /// Historical/Inductive pools (same pools as [`crate::EdgeSampler`]);
+    /// the collision filter always consults the *full* graph.
+    ///
+    /// Every row is drawn as for the full `k`, then all rows are truncated
+    /// to `k_effective`, the fewest valid candidates any query has (at most
+    /// `k`). A truncated row is a prefix of its full draw, so it stays
+    /// valid, distinct and deterministic, and a set whose pool supplies `k`
+    /// to every query is bit-identical to an unclamped one. Fails with
+    /// [`RankingError`] when some query has no valid candidate at all.
+    pub fn try_build(
+        graph: &TemporalGraph,
+        train: &[Interaction],
+        events: &[Interaction],
+        strategy: NegativeStrategy,
+        k: usize,
+        seed: u64,
+    ) -> Result<Self, RankingError> {
         assert!(k > 0, "filtered negative sets need k >= 1");
         let (dst_lo, dst_hi) = destination_range(graph);
         let pool = candidate_pool(graph, train, strategy);
@@ -101,6 +144,7 @@ impl FilteredNegativeSet {
 
         let mut candidates = Vec::with_capacity(events.len() * k);
         let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        let mut k_effective = k;
         for (q, ev) in events.iter().enumerate() {
             let t_bits = ev.t.to_bits();
             let mut rng = init::rng(query_seed(seed, q, ev));
@@ -142,24 +186,29 @@ impl FilteredNegativeSet {
                     }
                 }
             }
-            assert!(
-                chosen.len() == k,
-                "filtered negatives for '{}': query {q} (src {}, t {}) has \
-                 only {} valid candidates after filtering — k={k} exceeds \
-                 the {:?} pool",
-                graph.name,
-                ev.src,
-                ev.t,
-                chosen.len(),
-                strategy,
-            );
+            if chosen.is_empty() {
+                return Err(RankingError {
+                    dataset: graph.name.clone(),
+                    query: q,
+                    strategy,
+                });
+            }
+            k_effective = k_effective.min(chosen.len());
             candidates.extend_from_slice(&chosen);
+            candidates.resize((q + 1) * k, 0);
         }
-        FilteredNegativeSet {
-            k,
+        if k_effective < k {
+            candidates = candidates
+                .chunks_exact(k)
+                .flat_map(|row| &row[..k_effective])
+                .copied()
+                .collect();
+        }
+        Ok(FilteredNegativeSet {
+            k: k_effective,
             n: events.len(),
             candidates,
-        }
+        })
     }
 
     /// Number of queries covered.
@@ -388,18 +437,46 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_k_fails_loudly() {
+    fn oversized_k_is_clamped_to_the_smallest_pool() {
         let g = graph();
         // More negatives than the item universe can supply.
         let k = g.num_nodes + 5;
-        let _ = FilteredNegativeSet::build(
-            &g,
-            &g.events,
-            &g.events[..5],
-            NegativeStrategy::Random,
-            k,
-            1,
-        );
+        let events = &g.events[..5];
+        let s =
+            FilteredNegativeSet::try_build(&g, &g.events, events, NegativeStrategy::Random, k, 1)
+                .unwrap();
+        // Each query can use every item except its true destination and
+        // the true edges at its timestamp; the set keeps the fewest.
+        let valid = |ev: &Interaction| {
+            (g.num_users..g.num_nodes)
+                .filter(|&c| {
+                    c != ev.dst
+                        && !g
+                            .events
+                            .iter()
+                            .any(|e| e.src == ev.src && e.t == ev.t && e.dst == c)
+                })
+                .count()
+        };
+        assert_eq!(s.k, events.iter().map(valid).min().unwrap());
+        for (q, ev) in events.iter().enumerate() {
+            let mut row = s.query(q).to_vec();
+            assert!(!row.contains(&ev.dst));
+            row.sort_unstable();
+            row.dedup();
+            assert_eq!(row.len(), s.k, "duplicates in query {q}");
+        }
+    }
+
+    #[test]
+    fn pool_with_no_valid_candidate_is_a_typed_error() {
+        let g = graph();
+        // The Historical pool of a one-event train set is that event's
+        // destination, which can never be its own negative.
+        let one = &g.events[..1];
+        let err = FilteredNegativeSet::try_build(&g, one, one, NegativeStrategy::Historical, 5, 1)
+            .unwrap_err();
+        assert_eq!(err.query, 0);
+        assert_eq!(err.strategy, NegativeStrategy::Historical);
     }
 }

@@ -20,7 +20,7 @@ pub use dataloader::{LinkPredSplit, NodeClassSplit, Setting, SplitStats};
 pub use early_stop::EarlyStopMonitor;
 pub use efficiency::{EfficiencyReport, StageBreakdown};
 pub use evaluator::{average_precision, multiclass_metrics, roc_auc, MultiClassMetrics};
-pub use filtered_negatives::FilteredNegativeSet;
+pub use filtered_negatives::{FilteredNegativeSet, RankingError};
 pub use leaderboard::{Entry, Leaderboard};
 pub use pipeline::{
     train_link_prediction, train_node_classification, Anatomy, LinkPredictionRun,

@@ -32,7 +32,7 @@ use crate::efficiency::{peak_rss_bytes, stage, EfficiencyReport, StageBreakdown}
 use crate::evaluator::{
     auc_ap_pos_neg, average_precision_pos_neg, multiclass_metrics, roc_auc, MultiClassMetrics,
 };
-use crate::filtered_negatives::FilteredNegativeSet;
+use crate::filtered_negatives::{FilteredNegativeSet, RankingError};
 use crate::ranking::{ranking_metrics_flat, RankingMetrics};
 use crate::sampler::{EdgeSampler, NegativeStrategy};
 
@@ -294,6 +294,9 @@ pub struct LinkPredictionRun {
     pub best_val_ap: f64,
     pub epoch_losses: Vec<f32>,
     pub val_aps: Vec<f64>,
+    /// Why ranking was skipped although `rank_negatives > 0`: some test
+    /// query had no valid filtered negative.
+    pub ranking_error: Option<RankingError>,
     pub efficiency: EfficiencyReport,
 }
 
@@ -309,6 +312,7 @@ impl ToJson for LinkPredictionRun {
             "best_val_ap": self.best_val_ap,
             "epoch_losses": self.epoch_losses.as_slice(),
             "val_aps": self.val_aps.as_slice(),
+            "ranking_error": self.ranking_error.as_ref().map(ToString::to_string),
             "efficiency": &self.efficiency,
         })
     }
@@ -337,7 +341,10 @@ pub fn train_link_prediction(
     // workers) aggregates here, and the final profile ships in the report.
     let recorder = obs::Recorder::new();
     let _obs_guard = recorder.install();
-    // audit-allow(no-wallclock-outside-obs): anchors the timeout deadline; wall time never reaches scores
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "anchors the timeout deadline; wall time never reaches scores"
+    )]
     let job_start = Instant::now();
     let deadline = job_start + cfg.timeout;
 
@@ -378,16 +385,24 @@ pub fn train_link_prediction(
 
     // Filtered negative candidate sets for ranking, precomputed once per
     // job so every epoch's test pass ranks against identical candidates.
-    let filtered_negs = (cfg.rank_negatives > 0).then(|| {
-        FilteredNegativeSet::build(
-            graph,
-            &split.train,
-            &split.test,
-            cfg.neg_strategy,
-            cfg.rank_negatives,
-            cfg.seed ^ RANK_NEG_SEED_SALT,
-        )
-    });
+    // A split with no valid negative for some query skips ranking and
+    // records why.
+    let (filtered_negs, ranking_error) = match (cfg.rank_negatives > 0)
+        .then(|| {
+            FilteredNegativeSet::try_build(
+                graph,
+                &split.train,
+                &split.test,
+                cfg.neg_strategy,
+                cfg.rank_negatives,
+                cfg.seed ^ RANK_NEG_SEED_SALT,
+            )
+        })
+        .transpose()
+    {
+        Ok(set) => (set, None),
+        Err(e) => (None, Some(e)),
+    };
     drop(setup_span);
 
     let mut monitor = EarlyStopMonitor::new(cfg.patience, cfg.tolerance);
@@ -410,7 +425,10 @@ pub fn train_link_prediction(
                 let negs = train_sampler.sample_batch(batch);
                 loss_sum += model.train_batch(&train_ctx, batch, &negs) as f64;
                 batches += 1;
-                // audit-allow(no-wallclock-outside-obs): timeout guard; only flips `timed_out`, never a metric
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "timeout guard; only flips `timed_out`, never a metric"
+                )]
                 if Instant::now() > deadline {
                     timed_out = true;
                     break;
@@ -467,10 +485,9 @@ pub fn train_link_prediction(
             best_snapshot = Some(model.snapshot());
             // Scored pairs per test event: 1 positive + 1 AUC/AP negative
             // + K ranking candidates (+1 fresh ranking positive).
-            let pairs_per_event = if cfg.rank_negatives > 0 {
-                3.0 + cfg.rank_negatives as f64
-            } else {
-                2.0
+            let pairs_per_event = match &filtered_negs {
+                Some(f) => 3.0 + f.k as f64,
+                None => 2.0,
             };
             inference_secs_per_100k =
                 infer / (split.test.len().max(1) as f64 * pairs_per_event) * 100_000.0;
@@ -580,6 +597,7 @@ pub fn train_link_prediction(
         best_val_ap: monitor.best_metric(),
         epoch_losses,
         val_aps,
+        ranking_error,
         efficiency: EfficiencyReport {
             // Mean over training spans only: scoring has its own spans, so
             // it cannot leak in here (the old `EpochTimer` bug).
@@ -639,7 +657,10 @@ fn score_stream(
     let mut rank_cands = Vec::with_capacity(events.len() * k);
     let mut offset = 0usize;
     for batch in events.chunks(batch_size) {
-        // audit-allow(no-wallclock-outside-obs): timeout guard; aborts scoring, never shapes it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "timeout guard; aborts scoring, never shapes it"
+        )]
         if deadline.is_some_and(|d| Instant::now() > d) {
             return StreamScores {
                 pos,
@@ -722,7 +743,10 @@ pub fn train_node_classification(
 
     let recorder = obs::Recorder::new();
     let _obs_guard = recorder.install();
-    // audit-allow(no-wallclock-outside-obs): job wall-time for the efficiency report; not part of model results
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "job wall time for the efficiency report; not part of model results"
+    )]
     let job_start = Instant::now();
 
     let labels = graph

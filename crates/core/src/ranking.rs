@@ -27,6 +27,9 @@ pub struct RankingMetrics {
     pub hits_at_3: f64,
     pub hits_at_10: f64,
     pub num_queries: usize,
+    /// Negatives each positive was ranked against: the requested K, or
+    /// fewer where the filtered pool is smaller (the per-dataset clamp).
+    pub k_effective: usize,
 }
 
 /// Pessimistic rank of `p` against its negatives: `1 + #better + #tied`.
@@ -80,9 +83,12 @@ impl Accum {
         self.n += 1;
     }
 
-    fn finish(self) -> RankingMetrics {
+    fn finish(self, k_effective: usize) -> RankingMetrics {
         if self.n == 0 {
-            return RankingMetrics::default();
+            return RankingMetrics {
+                k_effective,
+                ..RankingMetrics::default()
+            };
         }
         let n = self.n as f64;
         RankingMetrics {
@@ -91,20 +97,22 @@ impl Accum {
             hits_at_3: self.h3 as f64 / n,
             hits_at_10: self.h10 as f64 / n,
             num_queries: self.n,
+            k_effective,
         }
     }
 }
 
 /// Compute MRR / Hits@K. `pos[i]` is the positive edge's score;
-/// `negs[i]` are the scores of that query's negative candidates.
-/// Ties are pessimistic — see the module docs.
+/// `negs[i]` are the scores of that query's negative candidates
+/// (`k_effective` is the smallest set's size). Ties are pessimistic — see
+/// the module docs.
 pub fn ranking_metrics(pos: &[f32], negs: &[Vec<f32>]) -> RankingMetrics {
     assert_eq!(pos.len(), negs.len(), "one negative set per positive");
     let mut acc = Accum::new();
     for (&p, neg) in pos.iter().zip(negs) {
         acc.push(pessimistic_rank(p, neg));
     }
-    acc.finish()
+    acc.finish(negs.iter().map(Vec::len).min().unwrap_or(0))
 }
 
 /// Flat-layout variant used by the scoring pipeline: `cands` holds `k`
@@ -133,7 +141,7 @@ pub fn ranking_metrics_flat(
         }
         acc.push(pessimistic_rank(p, &cands[i * k..(i + 1) * k]));
     }
-    acc.finish()
+    acc.finish(k)
 }
 
 impl benchtemp_util::ToJson for RankingMetrics {
@@ -144,6 +152,7 @@ impl benchtemp_util::ToJson for RankingMetrics {
             "hits_at_3": self.hits_at_3,
             "hits_at_10": self.hits_at_10,
             "num_queries": self.num_queries,
+            "k_effective": self.k_effective,
         })
     }
 }
@@ -244,6 +253,7 @@ mod tests {
         assert_eq!(nested.hits_at_1, f.hits_at_1);
         assert_eq!(nested.hits_at_3, f.hits_at_3);
         assert_eq!(nested.num_queries, f.num_queries);
+        assert_eq!((nested.k_effective, f.k_effective), (2, 2));
     }
 
     #[test]

@@ -131,7 +131,10 @@ impl TgnnModel for EdgeBank {
         // out-degree as a 1-dim "embedding" so the NC pipeline still runs.
         let mut m = Matrix::zeros(batch.len(), 1);
         for (r, ev) in batch.iter().enumerate() {
-            // audit-allow(no-hashmap-iteration-in-numeric-path): a count over keys is order-independent
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a count over keys is order-independent"
+            )]
             let deg = self.seen.keys().filter(|(s, _)| *s == ev.src).count();
             m.set(r, 0, deg as f32);
         }

@@ -116,7 +116,7 @@ pub fn sample_walks_with(
 /// Returns a `BTreeMap` so iteration emits position features in sorted
 /// node order — a `HashMap` here would feed `RandomState`-dependent order
 /// into anything that drains it, breaking cross-process bit-identity (the
-/// `no-hashmap-iteration-in-numeric-path` audit rule; see DESIGN.md §10).
+/// hash-iteration rule in `clippy.toml`; see DESIGN.md §10).
 pub fn position_counts(walks: &[TemporalWalk]) -> BTreeMap<usize, Vec<f32>> {
     let mut counts: BTreeMap<usize, Vec<f32>> = BTreeMap::new();
     let budget = walks.first().map(|w| w.len_budget() + 1).unwrap_or(0);

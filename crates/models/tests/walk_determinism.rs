@@ -3,7 +3,7 @@
 //! `position_counts` used to return a `HashMap`, so anything draining it —
 //! the CAWN/NeurTW feature assembly — saw a `RandomState`-dependent order
 //! that differed *between processes* even with identical seeds. The
-//! `no-hashmap-iteration-in-numeric-path` audit rule now bans that, and
+//! hash-iteration entries of `clippy.toml` now ban that, and
 //! `position_counts` emits sorted keys via `BTreeMap`. This regression test
 //! proves the property the fix restores: separate processes (fresh
 //! `RandomState` each, via `benchtemp_util::child`) hash the drained

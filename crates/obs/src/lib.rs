@@ -156,6 +156,10 @@ impl Recorder {
     }
 
     /// Snapshot the aggregated profile (may be taken at any time).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the collected spans are sorted by name before use"
+    )]
     pub fn profile(&self) -> Profile {
         let mut spans: Vec<(String, SpanStat)> = self
             .inner
@@ -219,6 +223,10 @@ pub struct SpanGuard {
 
 /// Open a span. Inert (no clock read) when no recorder is installed on this
 /// thread and tracing is disabled.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "spans are the workspace's wall clock; their readings are reported, never computed on"
+)]
 pub fn span(name: &'static str) -> SpanGuard {
     let recorder = current();
     let traced = trace::enabled();
@@ -416,11 +424,14 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test verifies recorder hand-off to a *foreign* thread; the pool would defeat it"
+    )]
     fn spans_on_other_threads_attribute_via_installed_recorder() {
         let rec = Recorder::new();
         let handle = {
             let rec = rec.clone();
-            // audit-allow(no-raw-thread-spawn): this test verifies recorder hand-off to a *foreign* thread; the pool would defeat it
             std::thread::spawn(move || {
                 let _g = rec.install();
                 timed("worker_span", || sleep_ms(3));

@@ -26,6 +26,8 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use benchtemp_util::env::{self, Knob};
+
 const UNRESOLVED: u8 = 0;
 const OFF: u8 = 1;
 const ON: u8 = 2;
@@ -51,8 +53,8 @@ pub fn enabled() -> bool {
 }
 
 fn resolve_from_env() -> bool {
-    match std::env::var("BENCHTEMP_TRACE") {
-        Ok(path) if !path.is_empty() => {
+    match env::var(Knob::Trace) {
+        Some(path) if !path.is_empty() => {
             set_path(Some(Path::new(&path)));
             STATE.load(Ordering::Relaxed) == ON
         }
@@ -98,6 +100,10 @@ pub fn flush() {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "trace timestamps are the wall clock's reported output, never computed on"
+)]
 fn now_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }

@@ -21,6 +21,7 @@ use std::sync::{Mutex, OnceLock};
 use benchtemp_obs::counters::{
     STORE_CACHE_RESIDENT_BYTES, STORE_PAGE_EVICTIONS, STORE_PAGE_HITS, STORE_PAGE_MISSES,
 };
+use benchtemp_util::env::{self, Knob};
 
 use crate::pager::{PageId, Pager, PAGE_SIZE};
 
@@ -38,8 +39,7 @@ const MIN_FRAMES: usize = 4;
 pub fn default_cache_budget() -> usize {
     static BUDGET: OnceLock<usize> = OnceLock::new();
     *BUDGET.get_or_init(|| {
-        std::env::var("BENCHTEMP_PAGE_CACHE_MB")
-            .ok()
+        env::var(Knob::PageCacheMb)
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(DEFAULT_BUDGET_MB)
             .saturating_mul(1 << 20)

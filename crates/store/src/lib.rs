@@ -25,6 +25,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
+use benchtemp_util::env::{self, Knob};
+
 use cache::CachedPager;
 use pager::{PageId, PAGE_SIZE};
 
@@ -65,9 +67,9 @@ impl Default for StoreOptions {
 pub fn default_store_dir() -> &'static Path {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
-        std::env::var("BENCHTEMP_STORE_DIR")
+        env::var(Knob::StoreDir)
             .map(PathBuf::from)
-            .unwrap_or_else(|_| std::env::temp_dir().join("benchtemp-store"))
+            .unwrap_or_else(|| std::env::temp_dir().join("benchtemp-store"))
     })
 }
 

@@ -30,6 +30,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use benchtemp_util::env::{self, Knob};
+
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Queue {
@@ -98,12 +100,12 @@ fn worker_loop(queue: Arc<Queue>) {
 /// Resolve the configured pool size: `BENCHTEMP_THREADS` if set and ≥ 1,
 /// else the machine's available parallelism.
 pub fn configured_threads() -> usize {
-    match std::env::var("BENCHTEMP_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
+    match env::var(Knob::Threads) {
+        Some(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => 1,
         },
-        Err(_) => std::thread::available_parallelism()
+        None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
     }
@@ -121,6 +123,10 @@ impl ThreadPool {
         Self::with_workers(threads, threads.min(cores))
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pool is the one place that spawns threads"
+    )]
     fn with_workers(threads: usize, workers: usize) -> Self {
         let queue = Arc::new(Queue {
             jobs: Mutex::new(VecDeque::new()),

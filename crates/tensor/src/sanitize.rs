@@ -30,6 +30,8 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
+use benchtemp_util::env::{self, Knob};
+
 /// Tri-state test/bench override: 0 = follow the environment, 1 = forced
 /// off, 2 = forced on.
 static FORCED: AtomicU8 = AtomicU8::new(0);
@@ -44,9 +46,8 @@ pub fn enabled() -> bool {
     match FORCED.load(Ordering::Relaxed) {
         1 => false,
         2 => true,
-        _ => *ENV_ENABLED.get_or_init(
-            || matches!(std::env::var("BENCHTEMP_SANITIZE"), Ok(v) if v.trim() == "1"),
-        ),
+        _ => *ENV_ENABLED
+            .get_or_init(|| matches!(env::var(Knob::Sanitize), Some(v) if v.trim() == "1")),
     }
 }
 

@@ -190,8 +190,8 @@ struct ShapeBin {
 /// so steady-state training stops allocating per op.
 ///
 /// A `BTreeMap` (not `HashMap`) keys the bins: the trim and accounting paths
-/// iterate the map, and the deterministic-order policy from PR 4's audit
-/// rule applies — iteration order must never depend on hash state.
+/// iterate the map, and the workspace's hash-iteration rule applies —
+/// iteration order must never depend on hash state (DESIGN.md §10).
 #[derive(Default)]
 struct BufferPool {
     by_shape: std::collections::BTreeMap<(usize, usize), ShapeBin>,

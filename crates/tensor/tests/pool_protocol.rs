@@ -1,5 +1,5 @@
 //! Exhaustive-interleaving model checker for the pool's `Queue`/`Batch`
-//! protocol (`crates/tensor/src/pool.rs`).
+//! protocol (`src/pool.rs`).
 //!
 //! The protocol's soundness argument ("`wait()` blocks until every job has
 //! finished, so `'env` borrows cannot dangle") rests on the counter+condvar
@@ -39,8 +39,6 @@ pub enum Mode {
 pub struct Exploration {
     /// Distinct protocol states reached.
     pub states: usize,
-    /// State-graph edges traversed.
-    pub transitions: usize,
     /// States with no enabled step.
     pub terminals: usize,
     /// Terminals where the submitter is still blocked — lost wakeup.
@@ -230,7 +228,6 @@ pub fn explore(workers: usize, jobs: u8, mode: Mode) -> Exploration {
             continue;
         }
         for step in steps {
-            report.transitions += 1;
             let next = apply(&st, step, mode, jobs);
             if seen.insert(next.clone()) {
                 stack.push(next);
@@ -240,8 +237,8 @@ pub fn explore(workers: usize, jobs: u8, mode: Mode) -> Exploration {
     report
 }
 
-/// Model-check results for the three standard instances run by the audit
-/// driver (2 workers × 3 jobs, the size named in the determinism docs).
+/// Model-check results for the three standard instances (2 workers × 3
+/// jobs, the size named in the determinism docs).
 #[derive(Clone, Copy, Debug)]
 pub struct ProtocolReport {
     pub correct: Exploration,
@@ -292,50 +289,45 @@ pub fn check_pool_protocol() -> ProtocolReport {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn correct_protocol_is_clean_in_every_schedule() {
-        for (w, j) in [(2, 3), (3, 3), (2, 4), (1, 2)] {
-            let r = explore(w, j, Mode::Correct);
-            assert!(r.states > 0 && r.completions > 0, "{w}x{j}: {r:?}");
-            assert_eq!(r.deadlocks, 0, "{w}x{j}: {r:?}");
-            assert_eq!(r.lost_jobs, 0, "{w}x{j}: {r:?}");
-            assert_eq!(r.panics_observed, 0, "{w}x{j}: {r:?}");
-            // Every terminal is a completion: no stuck schedules at all.
-            assert_eq!(r.terminals, r.completions, "{w}x{j}: {r:?}");
-        }
+#[test]
+fn correct_protocol_is_clean_in_every_schedule() {
+    for (w, j) in [(2, 3), (3, 3), (2, 4), (1, 2)] {
+        let r = explore(w, j, Mode::Correct);
+        assert!(r.states > 0 && r.completions > 0, "{w}x{j}: {r:?}");
+        assert_eq!(r.deadlocks, 0, "{w}x{j}: {r:?}");
+        assert_eq!(r.lost_jobs, 0, "{w}x{j}: {r:?}");
+        assert_eq!(r.panics_observed, 0, "{w}x{j}: {r:?}");
+        // Every terminal is a completion: no stuck schedules at all.
+        assert_eq!(r.terminals, r.completions, "{w}x{j}: {r:?}");
     }
+}
 
-    #[test]
-    fn panic_in_middle_job_reaches_submitter_in_every_schedule() {
-        let r = explore(2, 3, Mode::PanicMiddleJob);
-        assert_eq!(r.deadlocks, 0, "{r:?}");
-        assert_eq!(r.lost_jobs, 0, "catch_unwind must isolate the panic: {r:?}");
-        assert_eq!(r.panics_observed, r.completions, "{r:?}");
-        assert!(r.completions > 0);
-    }
+#[test]
+fn panic_in_middle_job_reaches_submitter_in_every_schedule() {
+    let r = explore(2, 3, Mode::PanicMiddleJob);
+    assert_eq!(r.deadlocks, 0, "{r:?}");
+    assert_eq!(r.lost_jobs, 0, "catch_unwind must isolate the panic: {r:?}");
+    assert_eq!(r.panics_observed, r.completions, "{r:?}");
+    assert!(r.completions > 0);
+}
 
-    #[test]
-    fn notify_before_decrement_bug_is_caught() {
-        let r = explore(2, 3, Mode::NotifyBeforeDecrement);
-        assert!(
-            r.deadlocks > 0,
-            "seeded lost-wakeup bug must deadlock in some schedule: {r:?}"
-        );
-    }
+#[test]
+fn notify_before_decrement_bug_is_caught() {
+    let r = explore(2, 3, Mode::NotifyBeforeDecrement);
+    assert!(
+        r.deadlocks > 0,
+        "seeded lost-wakeup bug must deadlock in some schedule: {r:?}"
+    );
+}
 
-    #[test]
-    fn exploration_is_deterministic() {
-        let a = explore(2, 3, Mode::Correct);
-        let b = explore(2, 3, Mode::Correct);
-        assert_eq!(a, b);
-    }
+#[test]
+fn exploration_is_deterministic() {
+    let a = explore(2, 3, Mode::Correct);
+    let b = explore(2, 3, Mode::Correct);
+    assert_eq!(a, b);
+}
 
-    #[test]
-    fn standard_report_verifies() {
-        check_pool_protocol().verify().unwrap();
-    }
+#[test]
+fn standard_report_verifies() {
+    check_pool_protocol().verify().unwrap();
 }

@@ -11,6 +11,8 @@
 
 use std::process::Command;
 
+use crate::env::{self, Knob};
+
 /// Standard 64-bit FNV-1a over a byte stream. Multi-byte words are fed in
 /// little-endian order, so digests are endian-stable and comparable across
 /// processes and hosts.
@@ -61,7 +63,7 @@ impl Default for Fnv1a {
 
 /// True inside a child spawned by [`spawn`].
 pub fn is_child() -> bool {
-    std::env::var("BENCHTEMP_CHILD").is_ok()
+    env::var(Knob::Child).is_some()
 }
 
 /// Child side: print the payload on the `RESULT` marker line [`spawn`]
@@ -105,12 +107,12 @@ pub fn spawn(args: &[&str], threads: usize, sanitize: bool) -> String {
     let exe = std::env::current_exe().expect("current executable");
     let mut cmd = Command::new(exe);
     cmd.args(args)
-        .env("BENCHTEMP_CHILD", "1")
-        .env("BENCHTEMP_THREADS", threads.to_string());
+        .env(Knob::Child.name(), "1")
+        .env(Knob::Threads.name(), threads.to_string());
     if sanitize {
-        cmd.env("BENCHTEMP_SANITIZE", "1");
+        cmd.env(Knob::Sanitize.name(), "1");
     } else {
-        cmd.env_remove("BENCHTEMP_SANITIZE");
+        cmd.env_remove(Knob::Sanitize.name());
     }
     let out = cmd.output().expect("spawn child process");
     assert!(

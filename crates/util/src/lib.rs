@@ -10,8 +10,10 @@
 //! - [`child`]: the cross-process determinism harness (re-exec the current
 //!   binary at 1 thread, 4 threads, and 4 threads with the sanitizer armed;
 //!   compare the payloads) and the workspace's one FNV-1a digest.
+//! - [`env`]: the typed `BENCHTEMP_*` knobs and their one reader.
 
 pub mod child;
+pub mod env;
 pub mod json;
 
 pub use child::Fnv1a;

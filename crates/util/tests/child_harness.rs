@@ -4,6 +4,7 @@
 //! reference.
 
 use benchtemp_util::child::{self, Fnv1a};
+use benchtemp_util::env::{self, Knob};
 
 fn digest(extra: &str) -> String {
     let mut h = Fnv1a::new();
@@ -22,17 +23,14 @@ fn agreeing_worker() {
 #[test]
 fn thread_folding_worker() {
     if child::is_child() {
-        child::report(digest(&std::env::var("BENCHTEMP_THREADS").unwrap()));
+        child::report(digest(&env::var(Knob::Threads).unwrap()));
     }
 }
 
 #[test]
 fn sanitize_folding_worker() {
     if child::is_child() {
-        child::report(digest(&format!(
-            "{:?}",
-            std::env::var("BENCHTEMP_SANITIZE").ok()
-        )));
+        child::report(digest(&format!("{:?}", env::var(Knob::Sanitize))));
     }
 }
 

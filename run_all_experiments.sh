@@ -11,6 +11,7 @@ $BIN anatomy                   > results/anatomy.txt              2>/dev/null
 $BIN table2_stats              > results/table2_stats.txt         2>/dev/null
 $BIN table6_splits             > results/table6_splits.txt        2>/dev/null
 $BIN fig5_temporal_dist        > results/fig5_temporal_dist.txt   2>/dev/null
+$BIN table3_lp -- --seeds 3 > results/table3_lp.txt 2>results/table3_lp.log
 $BIN table5_nc -- --seeds 3 > results/table5_nc.txt 2>results/table5_nc.log
 $BIN fig2_feature_dims -- --seeds 2 > results/fig2_feature_dims.txt 2>results/fig2.log
 $BIN temp_results -- --seeds 2 > results/temp_results.txt 2>results/temp.log

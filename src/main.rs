@@ -238,11 +238,12 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
                 let m = run.metrics_for(setting);
                 match &m.ranking {
                     Some(r) => println!(
-                        "  {:<20} AUC {:.4}  AP {:.4}  MRR {:.4}  Hits@1/3/10 {:.3}/{:.3}/{:.3}  ({} edges)",
+                        "  {:<20} AUC {:.4}  AP {:.4}  MRR {:.4} (K={})  Hits@1/3/10 {:.3}/{:.3}/{:.3}  ({} edges)",
                         setting.name(),
                         m.auc,
                         m.ap,
                         r.mrr,
+                        r.k_effective,
                         r.hits_at_1,
                         r.hits_at_3,
                         r.hits_at_10,
@@ -256,6 +257,9 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
                         m.n_edges
                     ),
                 }
+            }
+            if let Some(e) = &run.ranking_error {
+                println!("  ranking skipped: {e}");
             }
             println!(
                 "  {:.2}s/epoch, {} epochs, state {:.2} MB, util {:.0}%",
