@@ -29,6 +29,22 @@ cargo run --release --offline -p benchtemp-bench --bin diagnostics -- \
 test -s "$RANK_OUT/diagnostics.json" || { echo "diagnostics.json missing"; exit 1; }
 rm -rf "$RANK_OUT"
 
+echo "== ci: harness smoke (every run_all_experiments.sh harness, default protocol, --seeds 1 --epochs 1) =="
+HARNESS_OUT=$(mktemp -d /tmp/benchtemp-ci-harness.XXXXXX)
+# bench_kernels runs above as the overhead smoke; the rest keep the extra
+# arguments run_all_experiments.sh passes them, minus --seeds.
+for harness in anatomy table2_stats table6_splits fig5_temporal_dist table3_lp table5_nc \
+    fig2_feature_dims temp_results "table17_new_datasets --scale 0.001" table19_ebay_nc \
+    "table22_multilabel --scale 0.001" table23_nodes_ablation table25_density \
+    table26_negative_sampling; do
+    read -r bin extra <<< "$harness"
+    # shellcheck disable=SC2086 # $extra is deliberately word-split
+    cargo run -q --release --offline -p benchtemp-bench --bin "$bin" -- $extra \
+        --seeds 1 --epochs 1 --out "$HARNESS_OUT" > "$HARNESS_OUT/$bin.txt" 2> "$HARNESS_OUT/$bin.log" \
+        || { echo "harness $bin failed:"; tail -20 "$HARNESS_OUT/$bin.log"; exit 1; }
+done
+rm -rf "$HARNESS_OUT"
+
 echo "== ci: traced smoke run (JSONL schema + span pairing) =="
 TRACE_FILE=$(mktemp /tmp/benchtemp-ci-trace.XXXXXX.jsonl)
 BENCHTEMP_TRACE="$TRACE_FILE" \

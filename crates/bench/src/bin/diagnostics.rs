@@ -16,6 +16,7 @@
 
 use benchtemp_bench::{run_lp_seed_on, save_json, Protocol, TableBuilder};
 use benchtemp_core::evaluator::mean_std;
+use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_graph::generators::DiagnosticConfig;
 use benchtemp_models::zoo::PAPER_MODELS;
 use benchtemp_util::json;
@@ -41,28 +42,35 @@ fn main() {
     let total_jobs = models.len() * skills.len() * protocol.seeds;
     let mut done = 0usize;
     for base in &skills {
+        // Fresh stream per seed, same skill: the rule is fixed, the partner
+        // tables and event order vary.
+        let graph_of_seed = |seed: u64| {
+            DiagnosticConfig {
+                seed: seed ^ 0xd1a6,
+                ..base.clone()
+            }
+            .generate()
+        };
+        let preset = Protocol {
+            rank_negatives: protocol.k_preset(NegativeStrategy::Random, graph_of_seed),
+            ..protocol.clone()
+        };
         for model in &models {
             for seed in 0..protocol.seeds as u64 {
-                // Fresh stream per seed, same skill: the rule is fixed, the
-                // partner tables and event order vary.
-                let cfg = DiagnosticConfig {
-                    seed: seed ^ 0xd1a6,
-                    ..base.clone()
-                };
-                let graph = cfg.generate();
-                let run = run_lp_seed_on(model, &graph, &protocol, seed);
+                let graph = graph_of_seed(seed);
+                let run = run_lp_seed_on(model, &graph, &preset, seed);
                 done += 1;
                 let t = &run.transductive;
                 let r = t.ranking.as_ref().expect("ranking pass disabled");
                 eprintln!(
                     "[{done}/{total_jobs}] {model} on {}: MRR {:.4}  AUC {:.4}",
-                    cfg.name, r.mrr, t.auc
+                    base.name, r.mrr, t.auc
                 );
-                mrr.add(&cfg.name, model, r.mrr);
-                hits10.add(&cfg.name, model, r.hits_at_10);
-                auc.add(&cfg.name, model, t.auc);
+                mrr.add(&base.name, model, r.mrr);
+                hits10.add(&base.name, model, r.hits_at_10);
+                auc.add(&base.name, model, t.auc);
                 by_cell
-                    .entry((cfg.name.clone(), model.clone()))
+                    .entry((base.name.clone(), model.clone()))
                     .or_default()
                     .push(r.mrr);
                 raw_runs.push(run);

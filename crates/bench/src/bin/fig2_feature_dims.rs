@@ -4,7 +4,8 @@
 
 use benchtemp_bench::{feature_dim_graph, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::LinkPredSplit;
-use benchtemp_core::pipeline::train_link_prediction;
+use benchtemp_core::pipeline::{train_link_prediction, TrainConfig};
+use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_graph::features::figure2_dims;
 use benchtemp_models::zoo;
 
@@ -15,17 +16,19 @@ fn main() {
     let mut raw_runs = Vec::new();
 
     for dim in figure2_dims() {
+        let k = protocol.k_preset(NegativeStrategy::Random, |seed| {
+            feature_dim_graph(protocol.scale, seed, dim)
+        });
         for model_name in &models {
             for seed in 0..protocol.seeds as u64 {
                 let graph = feature_dim_graph(protocol.scale, seed, dim);
                 let split = LinkPredSplit::new(&graph, seed);
                 let mut model = zoo::build(model_name, protocol.model_config(seed), &graph);
-                let run = train_link_prediction(
-                    model.as_mut(),
-                    &graph,
-                    &split,
-                    &protocol.train_config(seed),
-                );
+                let cfg = TrainConfig {
+                    rank_negatives: k,
+                    ..protocol.train_config(seed)
+                };
+                let run = train_link_prediction(model.as_mut(), &graph, &split, &cfg);
                 eprintln!(
                     "dim {dim}: {model_name} seed {seed} AUC {:.4}",
                     run.transductive.auc

@@ -29,6 +29,7 @@ fn main() {
     let mut leaderboard = Leaderboard::new();
 
     for &dataset in &datasets {
+        let preset = protocol.for_preset(dataset);
         for model in &models {
             let mut per_setting: Vec<Vec<f64>> = vec![Vec::new(); 4];
             // Per-stage wall-clock from the obs profile, surfaced in the
@@ -38,7 +39,7 @@ fn main() {
             // unavailable simply contribute nothing.
             let mut per_rss: Vec<f64> = Vec::new();
             for seed in 0..protocol.seeds as u64 {
-                let run = run_lp_seed(model, dataset, &protocol, seed);
+                let run = run_lp_seed(model, dataset, &preset, seed);
                 eprintln!(
                     "{model} on {} seed {seed}: trans AUC {:.4}",
                     dataset.name(),

@@ -2,11 +2,10 @@
 //! ROC AUC per model with Average Rank (Table 19) and the NC efficiency
 //! block for the new datasets (Table 21).
 
-use benchtemp_bench::{save_json, Protocol, TableBuilder};
+use benchtemp_bench::{run_nc_seed_on, save_json, Protocol, TableBuilder};
 use benchtemp_core::leaderboard::Leaderboard;
-use benchtemp_core::pipeline::train_node_classification;
 use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_models::zoo::{self, PAPER_MODELS};
+use benchtemp_models::zoo::PAPER_MODELS;
 use benchtemp_util::json;
 
 fn main() {
@@ -25,16 +24,7 @@ fn main() {
             let mut values = Vec::new();
             for seed in 0..protocol.seeds as u64 {
                 let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
-                let split = benchtemp_core::dataloader::LinkPredSplit::new(&graph, seed);
-                let mut model = zoo::build(model_name, protocol.model_config(seed), &graph);
-                let _ = benchtemp_core::pipeline::train_link_prediction(
-                    model.as_mut(),
-                    &graph,
-                    &split,
-                    &protocol.train_config(seed),
-                );
-                let run =
-                    train_node_classification(model.as_mut(), &graph, &protocol.train_config(seed));
+                let (_, run) = run_nc_seed_on(model_name, &graph, &protocol, seed);
                 eprintln!(
                     "{model_name} on {} seed {seed}: NC AUC {:.4}",
                     dataset.name(),

@@ -3,10 +3,9 @@
 //! tiers): Accuracy and support-weighted Precision / Recall / F1
 //! (Appendix G formulas).
 
-use benchtemp_bench::{save_json, Protocol, TableBuilder};
-use benchtemp_core::pipeline::train_node_classification;
+use benchtemp_bench::{run_nc_seed_on, save_json, Protocol, TableBuilder};
 use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_models::zoo::{self, PAPER_MODELS};
+use benchtemp_models::zoo::PAPER_MODELS;
 
 fn main() {
     let protocol = Protocol::from_args();
@@ -18,16 +17,7 @@ fn main() {
             let graph = BenchDataset::DGraphFin
                 .config(protocol.scale, seed ^ 0xda7a)
                 .generate();
-            let split = benchtemp_core::dataloader::LinkPredSplit::new(&graph, seed);
-            let mut model = zoo::build(model_name, protocol.model_config(seed), &graph);
-            let _ = benchtemp_core::pipeline::train_link_prediction(
-                model.as_mut(),
-                &graph,
-                &split,
-                &protocol.train_config(seed),
-            );
-            let run =
-                train_node_classification(model.as_mut(), &graph, &protocol.train_config(seed));
+            let (_, run) = run_nc_seed_on(model_name, &graph, &protocol, seed);
             let m = run.multiclass.expect("DGraphFin is multi-class");
             eprintln!(
                 "{model_name} seed {seed}: acc {:.4} f1w {:.4}",

@@ -15,9 +15,10 @@ fn main() {
     let mut raw_runs = Vec::new();
 
     for dataset in [BenchDataset::CanParl, BenchDataset::UsLegis] {
+        let preset = protocol.for_preset(dataset);
         for variant in ["NeurTW", "NeurTW-noNODE"] {
             for seed in 0..protocol.seeds as u64 {
-                let run = run_lp_seed(variant, dataset, &protocol, seed);
+                let run = run_lp_seed(variant, dataset, &preset, seed);
                 eprintln!(
                     "{variant} on {} seed {seed}: trans AUC {:.4}",
                     dataset.name(),

@@ -7,6 +7,7 @@ use benchtemp_bench::{
     density, density_subgraphs, render_table, run_lp_seed_on, save_json, Protocol, TableBuilder,
 };
 use benchtemp_core::dataloader::Setting;
+use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_util::{json, Json, ToJson};
 
 fn main() {
@@ -42,8 +43,12 @@ fn main() {
     let mut ap = TableBuilder::new();
     let mut raw_runs = Vec::new();
     for g in [&g_s1, &g_s2] {
+        let preset = Protocol {
+            rank_negatives: protocol.k_preset(NegativeStrategy::Random, |_| (*g).clone()),
+            ..protocol.clone()
+        };
         for seed in 0..protocol.seeds as u64 {
-            let run = run_lp_seed_on("CAWN", g, &protocol, seed);
+            let run = run_lp_seed_on("CAWN", g, &preset, seed);
             eprintln!(
                 "CAWN on {} seed {seed}: trans AUC {:.4}",
                 g.name, run.transductive.auc

@@ -27,6 +27,9 @@ fn main() {
     let mut raw_runs = Vec::new();
     for &dataset in &datasets {
         for (sname, strategy) in strategies {
+            let k = protocol.k_preset(strategy, |seed| {
+                dataset.config(protocol.scale, seed ^ 0xda7a).generate()
+            });
             for seed in 0..protocol.seeds as u64 {
                 let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
                 let split = benchtemp_core::dataloader::LinkPredSplit::new(&graph, seed);
@@ -34,6 +37,7 @@ fn main() {
                     benchtemp_models::zoo::build("NAT", protocol.model_config(seed), &graph);
                 let mut cfg = protocol.train_config(seed);
                 cfg.neg_strategy = strategy;
+                cfg.rank_negatives = k;
                 let run = benchtemp_core::pipeline::train_link_prediction(
                     model.as_mut(),
                     &graph,

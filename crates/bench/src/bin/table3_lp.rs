@@ -54,9 +54,11 @@ fn main() {
     let total_jobs = models.len() * datasets.len() * protocol.seeds;
     let mut done = 0usize;
     for &dataset in &datasets {
+        // One K for every seed of the preset, so MRR means never mix K.
+        let preset = protocol.for_preset(dataset);
         for model in &models {
             for seed in 0..protocol.seeds as u64 {
-                let run = run_lp_seed(model, dataset, &protocol, seed);
+                let run = run_lp_seed(model, dataset, &preset, seed);
                 done += 1;
                 eprintln!(
                     "[{done}/{total_jobs}] {model} on {} seed {seed}: trans AUC {:.4}{}",

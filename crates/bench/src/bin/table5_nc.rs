@@ -3,10 +3,9 @@
 //! block (Table 12). Protocol: self-supervised LP pre-training, then the
 //! frozen-embedding decoder (§3.2.2).
 
-use benchtemp_bench::{save_json, Protocol, TableBuilder};
-use benchtemp_core::pipeline::train_node_classification;
+use benchtemp_bench::{run_nc_seed_on, save_json, Protocol, TableBuilder};
 use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_models::zoo::{self, PAPER_MODELS};
+use benchtemp_models::zoo::PAPER_MODELS;
 use benchtemp_util::json;
 
 fn main() {
@@ -31,18 +30,8 @@ fn main() {
         for model_name in &models {
             for seed in 0..protocol.seeds as u64 {
                 let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
-                // Pre-train self-supervised; reuse the LP harness so the
-                // encoder is the trained one.
-                let split = benchtemp_core::dataloader::LinkPredSplit::new(&graph, seed);
-                let mut model = zoo::build(model_name, protocol.model_config(seed), &graph);
-                pretrain_raw.push(benchtemp_core::pipeline::train_link_prediction(
-                    model.as_mut(),
-                    &graph,
-                    &split,
-                    &protocol.train_config(seed),
-                ));
-                let run =
-                    train_node_classification(model.as_mut(), &graph, &protocol.train_config(seed));
+                let (pretrain, run) = run_nc_seed_on(model_name, &graph, &protocol, seed);
+                pretrain_raw.push(pretrain);
                 eprintln!(
                     "{model_name} on {} seed {seed}: NC AUC {:.4}",
                     dataset.name(),

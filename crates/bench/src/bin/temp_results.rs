@@ -2,11 +2,9 @@
 //! across the four settings on all fifteen datasets, LP efficiency, and
 //! node-classification AUC + efficiency on the labelled datasets.
 
-use benchtemp_bench::{run_lp_seed, save_json, Protocol, TableBuilder};
+use benchtemp_bench::{run_lp_seed, run_nc_seed_on, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::Setting;
-use benchtemp_core::pipeline::train_node_classification;
 use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_models::zoo;
 use benchtemp_util::json;
 
 fn main() {
@@ -19,8 +17,9 @@ fn main() {
     let mut eff = TableBuilder::new();
     let mut raw_runs = Vec::new();
     for &dataset in &datasets {
+        let preset = protocol.for_preset(dataset);
         for seed in 0..protocol.seeds as u64 {
-            let run = run_lp_seed("TeMP", dataset, &protocol, seed);
+            let run = run_lp_seed("TeMP", dataset, &preset, seed);
             eprintln!(
                 "TeMP on {} seed {seed}: trans AUC {:.4}",
                 dataset.name(),
@@ -72,16 +71,7 @@ fn main() {
     ] {
         for seed in 0..protocol.seeds as u64 {
             let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
-            let split = benchtemp_core::dataloader::LinkPredSplit::new(&graph, seed);
-            let mut model = zoo::build("TeMP", protocol.model_config(seed), &graph);
-            let _ = benchtemp_core::pipeline::train_link_prediction(
-                model.as_mut(),
-                &graph,
-                &split,
-                &protocol.train_config(seed),
-            );
-            let run =
-                train_node_classification(model.as_mut(), &graph, &protocol.train_config(seed));
+            let (_, run) = run_nc_seed_on("TeMP", &graph, &protocol, seed);
             let ds = dataset.name();
             nc.add(ds, "AUC", run.auc);
             nc.add(

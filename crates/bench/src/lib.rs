@@ -14,8 +14,12 @@ use std::time::Duration;
 use benchtemp_util::{json, Json, ToJson};
 
 use benchtemp_core::dataloader::LinkPredSplit;
-use benchtemp_core::pipeline::{train_link_prediction, LinkPredictionRun, TrainConfig};
+use benchtemp_core::pipeline::{
+    train_link_prediction, train_node_classification, LinkPredictionRun, NodeClassificationRun,
+    TrainConfig,
+};
 use benchtemp_core::sampler::NegativeStrategy;
+use benchtemp_core::FilteredNegativeSet;
 use benchtemp_graph::datasets::BenchDataset;
 use benchtemp_graph::features::FeatureInit;
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
@@ -140,6 +144,68 @@ impl Protocol {
         }
     }
 
+    /// The ranking K shared by every seed of one preset: the smallest
+    /// `k_effective` over the seeds' test candidate sets, built as
+    /// `train_link_prediction` builds them but without training
+    /// (`graph_of_seed` must return the graph that seed's job trains on).
+    /// Ranking each seed at this K keeps mean ± std MRR from mixing K, which
+    /// a per-job clamp does (Wikipedia/Historical clamps to 10, 8 and 9 at
+    /// seeds 0–2). A seed whose filtered pool is empty is left out — its own
+    /// run records the error. With ranking off, or no seed able to rank,
+    /// this is `rank_negatives` unchanged.
+    pub fn k_preset(
+        &self,
+        strategy: NegativeStrategy,
+        graph_of_seed: impl Fn(u64) -> TemporalGraph,
+    ) -> usize {
+        if self.rank_negatives == 0 {
+            return 0;
+        }
+        (0..self.seeds as u64)
+            .filter_map(|seed| {
+                let graph = graph_of_seed(seed);
+                let split = LinkPredSplit::new(&graph, seed);
+                // k_effective depends on the pools, not on the draw seed.
+                FilteredNegativeSet::try_build(
+                    &graph,
+                    &split.train,
+                    &split.test,
+                    strategy,
+                    self.rank_negatives,
+                    seed,
+                )
+                .ok()
+                .map(|set| set.k)
+            })
+            .min()
+            .unwrap_or(self.rank_negatives)
+    }
+
+    /// This protocol with `rank_negatives` set to `dataset`'s
+    /// [`Protocol::k_preset`] under the default (random) negative sampler,
+    /// for the harnesses that run [`run_lp_seed`] over the seeds.
+    pub fn for_preset(&self, dataset: BenchDataset) -> Protocol {
+        let k = self.k_preset(NegativeStrategy::Random, |seed| {
+            dataset.config(self.scale, seed ^ 0xda7a).generate()
+        });
+        Protocol {
+            rank_negatives: k,
+            ..self.clone()
+        }
+    }
+
+    /// Configuration of the self-supervised LP pre-training that precedes
+    /// node classification: [`Protocol::train_config`] with ranking off. No
+    /// table reads the pre-training's MRR, and candidate scoring draws from
+    /// its own RNG (`ranking_rng`) and leaves the model untouched, so the
+    /// NC results are the same bits either way.
+    pub fn pretrain_config(&self, seed: u64) -> TrainConfig {
+        TrainConfig {
+            rank_negatives: 0,
+            ..self.train_config(seed)
+        }
+    }
+
     /// Model hyperparameters for one seed run — slightly smaller than the
     /// library defaults so the full 7×15×3-seed sweep stays tractable on
     /// one CPU core (raise via `ModelConfig::default()` for bigger runs).
@@ -178,6 +244,27 @@ pub fn run_lp_seed_on(
     let split = LinkPredSplit::new(graph, seed);
     let mut model = benchtemp_models::zoo::build(model_name, protocol.model_config(seed), graph);
     train_link_prediction(model.as_mut(), graph, &split, &protocol.train_config(seed))
+}
+
+/// One seed run of one NC job on a pre-built labelled graph (§3.2.2):
+/// self-supervised LP pre-training ([`Protocol::pretrain_config`]), then the
+/// frozen-embedding decoder. Returns the pre-training run and the NC run.
+pub fn run_nc_seed_on(
+    model_name: &str,
+    graph: &TemporalGraph,
+    protocol: &Protocol,
+    seed: u64,
+) -> (LinkPredictionRun, NodeClassificationRun) {
+    let split = LinkPredSplit::new(graph, seed);
+    let mut model = benchtemp_models::zoo::build(model_name, protocol.model_config(seed), graph);
+    let pretrain = train_link_prediction(
+        model.as_mut(),
+        graph,
+        &split,
+        &protocol.pretrain_config(seed),
+    );
+    let run = train_node_classification(model.as_mut(), graph, &protocol.train_config(seed));
+    (pretrain, run)
 }
 
 /// The Fig. 2 dataset: MOOC-style, with `node_dim` random fixed initial

@@ -8,10 +8,12 @@
 
 use benchtemp_bench::{density_subgraphs, feature_dim_graph, Protocol};
 use benchtemp_core::dataloader::LinkPredSplit;
+use benchtemp_core::pipeline::{train_link_prediction, TrainConfig};
 use benchtemp_core::{FilteredNegativeSet, NegativeStrategy};
 use benchtemp_graph::datasets::BenchDataset;
 use benchtemp_graph::features::figure2_dims;
 use benchtemp_graph::temporal_graph::TemporalGraph;
+use benchtemp_models::zoo;
 
 #[test]
 fn default_protocol_candidate_sets_build_for_every_harness_dataset() {
@@ -67,4 +69,57 @@ fn default_protocol_candidate_sets_build_for_every_harness_dataset() {
     }
     // G_S1-dense has the smallest pool of all; it must clamp.
     assert!(dense_k.iter().all(|&k_eff| k_eff < k), "{dense_k:?}");
+}
+
+/// `Protocol::k_preset` gives every seed of a preset one K. Per-job clamping
+/// gives Wikipedia/Historical a different `k_effective` at each default
+/// seed; at the preset K every seed's candidate set keeps exactly K, and a
+/// trained job reports it as its `k_effective`.
+#[test]
+fn every_seed_of_a_preset_ranks_at_the_preset_k() {
+    let p = Protocol::default();
+    let strategy = NegativeStrategy::Historical;
+    let graph_of_seed = |seed: u64| {
+        BenchDataset::Wikipedia
+            .config(p.scale, seed ^ 0xda7a)
+            .generate()
+    };
+    let set_k = |seed: u64, k: usize| {
+        let graph = graph_of_seed(seed);
+        let split = LinkPredSplit::new(&graph, seed);
+        FilteredNegativeSet::try_build(&graph, &split.train, &split.test, strategy, k, seed)
+            .expect("Wikipedia has valid historical negatives")
+            .k
+    };
+    let per_job: Vec<usize> = (0..p.seeds as u64)
+        .map(|seed| set_k(seed, p.rank_negatives))
+        .collect();
+    assert!(
+        per_job.iter().any(|&k| k != per_job[0]),
+        "per-job clamps should differ across seeds here: {per_job:?}"
+    );
+    let k = p.k_preset(strategy, graph_of_seed);
+    assert_eq!(k, *per_job.iter().min().unwrap());
+    for seed in 0..p.seeds as u64 {
+        assert_eq!(set_k(seed, k), k, "seed {seed} at the preset K");
+    }
+
+    // End to end: every seed's job reports the preset K.
+    let short = Protocol {
+        max_epochs: 1,
+        rank_negatives: k,
+        ..p.clone()
+    };
+    for seed in 0..p.seeds as u64 {
+        let graph = graph_of_seed(seed);
+        let split = LinkPredSplit::new(&graph, seed);
+        let mut model = zoo::build("JODIE", short.model_config(seed), &graph);
+        let cfg = TrainConfig {
+            neg_strategy: strategy,
+            ..short.train_config(seed)
+        };
+        let run = train_link_prediction(model.as_mut(), &graph, &split, &cfg);
+        let ranking = run.transductive.ranking.expect("ranking ran");
+        assert_eq!(ranking.k_effective, k, "seed {seed}");
+    }
 }

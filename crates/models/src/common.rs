@@ -128,6 +128,12 @@ impl NodeMemory {
         self.mem.row(node)
     }
 
+    /// The whole memory table (one row per node), for
+    /// `Linear::forward_gathered`.
+    pub fn table(&self) -> &Matrix {
+        &self.mem
+    }
+
     /// Δt since each node's last memory update.
     pub fn deltas(&self, nodes: &[usize], now: &[f64]) -> Vec<f32> {
         nodes
@@ -202,18 +208,6 @@ impl NeighborBatch {
         }
     }
 
-    /// Node features of the neighbor slots ((n·k) × node_dim) as a pooled
-    /// tape leaf (coalesced SoA gather).
-    pub fn node_feats_var(&self, g: &mut Graph, ctx: &StreamContext) -> Var {
-        g.gather_rows_from(&ctx.graph.node_features, &self.ids)
-    }
-
-    /// Edge features of the originating events ((n·k) × edge_dim) as a
-    /// pooled tape leaf (coalesced SoA gather).
-    pub fn edge_feats_var(&self, g: &mut Graph, ctx: &StreamContext) -> Var {
-        g.gather_rows_from(&ctx.graph.edge_features, &self.feat_idx)
-    }
-
     /// Times per (node,time) pair of the sampled events (for recursion).
     pub fn event_times(&self, times: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.ids.len());
@@ -250,12 +244,6 @@ impl BatchView {
             times: batch.iter().map(|e| e.t).collect(),
             feat_idx: batch.iter().map(|e| e.feat_idx).collect(),
         }
-    }
-
-    /// Edge features of the batch's events as a pooled tape leaf
-    /// (coalesced SoA gather).
-    pub fn edge_feats_var(&self, g: &mut Graph, ctx: &StreamContext) -> Var {
-        g.gather_rows_from(&ctx.graph.edge_features, &self.feat_idx)
     }
 
     pub fn len(&self) -> usize {
@@ -349,8 +337,8 @@ mod tests {
         );
         let store = ParamStore::new();
         let mut gr = Graph::new(&store);
-        let nv = nb.node_feats_var(&mut gr, &ctx);
-        let ev = nb.edge_feats_var(&mut gr, &ctx);
+        let nv = gr.gather_rows_from(&g.node_features, &nb.ids);
+        let ev = gr.gather_rows_from(&g.edge_features, &nb.feat_idx);
         assert_eq!(gr.shape(nv), (8, g.node_dim()));
         assert_eq!(gr.shape(ev), (8, g.edge_dim()));
     }

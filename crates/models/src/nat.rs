@@ -208,18 +208,21 @@ impl Nat {
         let mut g = Graph::new(&self.core.store);
         let w = &self.weights;
         let src_rep = {
-            let m = self.reps.rows_var(&mut g, &view.srcs);
-            let p = w.rep_proj.forward(&mut g, m);
+            let p = w
+                .rep_proj
+                .forward_gathered(&mut g, self.reps.table(), &view.srcs);
             g.relu(p)
         };
         let dst_rep = {
-            let m = self.reps.rows_var(&mut g, &view.dsts);
-            let p = w.rep_proj.forward(&mut g, m);
+            let p = w
+                .rep_proj
+                .forward_gathered(&mut g, self.reps.table(), &view.dsts);
             g.relu(p)
         };
         let neg_rep = {
-            let m = self.reps.rows_var(&mut g, &view.negs);
-            let p = w.rep_proj.forward(&mut g, m);
+            let p = w
+                .rep_proj
+                .forward_gathered(&mut g, self.reps.table(), &view.negs);
             g.relu(p)
         };
         let score = |g: &mut Graph, a: Var, b: Var, st: Matrix, dt: &[f32]| -> Var {
@@ -243,8 +246,9 @@ impl Nat {
 
         // Recurrent self-representation update for both endpoints.
         let (new_src, new_dst) = {
-            let e = view.edge_feats_var(&mut g, ctx);
-            let ep = w.edge_proj.forward(&mut g, e);
+            let ep = w
+                .edge_proj
+                .forward_gathered(&mut g, &ctx.graph.edge_features, &view.feat_idx);
             let ste = w.time_enc.forward_slice(&mut g, &src_dt);
             let dte = w.time_enc.forward_slice(&mut g, &dst_dt);
             let sx = g.concat_cols(ep, ste);
@@ -327,8 +331,9 @@ impl TgnnModel for Nat {
         let mut g = Graph::new(&self.core.store);
         let w = &self.weights;
         let src_rep = {
-            let m = self.reps.rows_var(&mut g, &srcs);
-            let p = w.rep_proj.forward(&mut g, m);
+            let p = w
+                .rep_proj
+                .forward_gathered(&mut g, self.reps.table(), &srcs);
             g.relu(p)
         };
         // Mirrors `run_batch`'s scoring: the pair's structural features, the
@@ -339,8 +344,7 @@ impl TgnnModel for Nat {
                 st.set_row(i, &self.pair_struct(srcs[i], block[i]));
             }
             let b_rep = {
-                let m = self.reps.rows_var(g, block);
-                let p = w.rep_proj.forward(g, m);
+                let p = w.rep_proj.forward_gathered(g, self.reps.table(), block);
                 g.relu(p)
             };
             let sp = {

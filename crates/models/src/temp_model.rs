@@ -218,8 +218,9 @@ impl Temp {
 
         // Sequence updater: GRU over [edge | Δt-enc] advances the memory.
         let (new_src, new_dst) = {
-            let e = view.edge_feats_var(&mut g, ctx);
-            let ep = w.edge_proj.forward(&mut g, e);
+            let ep = w
+                .edge_proj
+                .forward_gathered(&mut g, &ctx.graph.edge_features, &view.feat_idx);
             let s_dt = self.memory.deltas(&view.srcs, &view.times);
             let d_dt = self.memory.deltas(&view.dsts, &view.times);
             let ste = w.time_enc.forward_slice(&mut g, &s_dt);

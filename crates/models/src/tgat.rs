@@ -50,8 +50,8 @@ impl Weights {
         rng: &mut SeededRng,
     ) -> Var {
         let base = |g: &mut Graph, ids: &[usize]| -> Var {
-            let f = g.gather_rows_from(&ctx.graph.node_features, ids);
-            self.feat_proj.forward(g, f)
+            self.feat_proj
+                .forward_gathered(g, &ctx.graph.node_features, ids)
         };
         if depth == 0 {
             return base(g, nodes);
@@ -78,10 +78,9 @@ impl Weights {
             let nb = NeighborBatch::from_hop(hop, k);
             let level_ids: &[usize] = if l == 0 { nodes } else { &hops[l - 1].nodes };
             let base_l = base(g, level_ids);
-            let nb_edge = {
-                let e = nb.edge_feats_var(g, ctx);
-                self.edge_proj.forward(g, e)
-            };
+            let nb_edge =
+                self.edge_proj
+                    .forward_gathered(g, &ctx.graph.edge_features, &nb.feat_idx);
             let nb_te = self.time_enc.forward_slice(g, &nb.dts);
             let keys = g.concat_cols_many(&[rep, nb_edge, nb_te]);
             let zero_te = self.time_enc.forward_slice(g, &vec![0.0; level_ids.len()]);

@@ -68,8 +68,9 @@ impl Weights {
         nodes: &[usize],
     ) -> Var {
         let mem = memory.rows_var(g, nodes);
-        let feats = g.gather_rows_from(&ctx.graph.node_features, nodes);
-        let proj = self.feat_proj.forward(g, feats);
+        let proj = self
+            .feat_proj
+            .forward_gathered(g, &ctx.graph.node_features, nodes);
         g.add(mem, proj)
     }
 
@@ -119,14 +120,14 @@ impl Weights {
         });
         let nb_state = {
             let mem = memory.rows_var(g, &nb.ids);
-            let feats = nb.node_feats_var(g, ctx);
-            let fp = self.feat_proj.forward(g, feats);
+            let fp = self
+                .feat_proj
+                .forward_gathered(g, &ctx.graph.node_features, &nb.ids);
             g.add(mem, fp)
         };
-        let nb_edge = {
-            let e = nb.edge_feats_var(g, ctx);
-            self.edge_proj.forward(g, e)
-        };
+        let nb_edge = self
+            .edge_proj
+            .forward_gathered(g, &ctx.graph.edge_features, &nb.feat_idx);
         let nb_te = self.time_enc.forward_slice(g, &nb.dts);
         let keys = g.concat_cols_many(&[nb_state, nb_edge, nb_te]);
         let zero_te = self.time_enc.forward_slice(g, &vec![0.0; nodes.len()]);
@@ -156,8 +157,9 @@ impl Weights {
                 let dtw = g.matmul(dt_col, w);
                 let scale = g.add_scalar(dtw, 1.0);
                 let projected = g.mul(scale, mem);
-                let feats = g.gather_rows_from(&ctx.graph.node_features, nodes);
-                let fp = self.feat_proj.forward(g, feats);
+                let fp = self
+                    .feat_proj
+                    .forward_gathered(g, &ctx.graph.node_features, nodes);
                 g.add(projected, fp)
             }
             TgnVariant::DyRep => self.node_state(g, ctx, memory, nodes),
@@ -179,10 +181,9 @@ impl Weights {
         view: &BatchView,
         rng: &mut SeededRng,
     ) -> (Var, Var) {
-        let edge = {
-            let e = view.edge_feats_var(g, ctx);
-            self.edge_proj.forward(g, e)
-        };
+        let edge = self
+            .edge_proj
+            .forward_gathered(g, &ctx.graph.edge_features, &view.feat_idx);
         let src_mem = memory.rows_var(g, &view.srcs);
         let dst_mem = memory.rows_var(g, &view.dsts);
         let src_te = {

@@ -234,8 +234,11 @@ impl WalkModel {
             let x = {
                 let a = g.input(anon[step].clone());
                 let ap = self.weights.anon_proj.forward(g, a);
-                let e = g.gather_rows_from(&ctx.graph.edge_features, &feat_rows[step]);
-                let ep = self.weights.edge_proj.forward(g, e);
+                let ep = self.weights.edge_proj.forward_gathered(
+                    g,
+                    &ctx.graph.edge_features,
+                    &feat_rows[step],
+                );
                 let te = if self.use_time_feats() {
                     self.weights.time_enc.forward_slice(g, &dts[step])
                 } else {

@@ -2,12 +2,14 @@
 //! per-row gather.
 //!
 //! The frontier engine emits a pre-resolved `feat_idx` column and the
-//! models gather features through `Tape::gather_rows_from` (pooled,
-//! run-length coalesced). Both are pure layout/execution moves, so this
-//! test pins them bitwise over a seeded grid of hop counts × sampling
-//! strategies — with the index lists exactly as the frontier produces
-//! them, duplicates and masked (padded) slots included — against the
-//! per-slot event resolution and the allocating `Matrix::gather_rows`.
+//! models read features through `Tape::gather_rows_from` (pooled,
+//! run-length coalesced) or project them through
+//! `Linear::forward_gathered` (each distinct row projected once). All are
+//! pure layout/execution moves, so this test pins them bitwise over a
+//! seeded grid of hop counts × sampling strategies — with the index lists
+//! exactly as the frontier produces them, duplicates and masked (padded)
+//! slots included — against the per-slot event resolution, the allocating
+//! `Matrix::gather_rows`, and `Linear::forward` over the gathered copy.
 
 use benchtemp_core::pipeline::StreamContext;
 use benchtemp_graph::generators::GeneratorConfig;
@@ -15,6 +17,7 @@ use benchtemp_graph::neighbors::SamplingStrategy;
 use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_graph::NeighborFinder;
 use benchtemp_models::common::{NeighborBatch, NodeMemory};
+use benchtemp_tensor::nn::Linear;
 use benchtemp_tensor::{init, Graph, Matrix, ParamStore};
 
 const STRATS: [SamplingStrategy; 4] = [
@@ -36,7 +39,18 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
         graph: &g,
         neighbors: NeighborBackend::Resident(&nf),
     };
-    let store = ParamStore::new();
+    let mut store = ParamStore::new();
+    let mut rng = init::rng(4022);
+    let node_proj = Linear::new(&mut store, &mut rng, "node", g.node_dim(), 8);
+    let edge_proj = Linear::new(&mut store, &mut rng, "edge", g.edge_dim(), 8);
+    // `Linear::forward` over a materialized gather: the pair the fused
+    // projection replaces.
+    let projected = |lin: &Linear, table: &Matrix, idx: &[usize]| -> Vec<u32> {
+        let mut gr = Graph::new(&store);
+        let x = gr.input(table.gather_rows(idx));
+        let y = lin.forward(&mut gr, x);
+        bits(gr.value(y))
+    };
 
     // Roots: well-connected late endpoints plus the same nodes queried just
     // after the stream starts, where they have little or no history — the
@@ -81,8 +95,8 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
                 // The coalesced tape gathers must reproduce the scalar
                 // per-row gather bitwise.
                 let mut gr = Graph::new(&store);
-                let nv = nb.node_feats_var(&mut gr, &ctx);
-                let ev = nb.edge_feats_var(&mut gr, &ctx);
+                let nv = gr.gather_rows_from(&ctx.graph.node_features, &nb.ids);
+                let ev = gr.gather_rows_from(&ctx.graph.edge_features, &nb.feat_idx);
                 assert_eq!(
                     bits(gr.value(nv)),
                     bits(&g.node_features.gather_rows(&nb.ids)),
@@ -92,6 +106,18 @@ fn frontier_gathers_match_scalar_baselines_bitwise() {
                     bits(gr.value(ev)),
                     bits(&g.edge_features.gather_rows(&nb.feat_idx)),
                     "edge feature gather diverged (hops={hops}, strat {si})"
+                );
+                let np = node_proj.forward_gathered(&mut gr, &g.node_features, &nb.ids);
+                let ep = edge_proj.forward_gathered(&mut gr, &g.edge_features, &nb.feat_idx);
+                assert_eq!(
+                    bits(gr.value(np)),
+                    projected(&node_proj, &g.node_features, &nb.ids),
+                    "node feature projection diverged (hops={hops}, strat {si})"
+                );
+                assert_eq!(
+                    bits(gr.value(ep)),
+                    projected(&edge_proj, &g.edge_features, &nb.feat_idx),
+                    "edge feature projection diverged (hops={hops}, strat {si})"
                 );
             }
         }

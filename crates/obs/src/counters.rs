@@ -89,8 +89,9 @@ pub static PEAK_RSS_SAMPLES: Counter = Counter::new("peak_rss_samples");
 pub static SANITIZE_BATCHES_CHECKED: Counter = Counter::new("sanitize_batches_checked");
 /// Individual chunk-slot claims the sanitizer verified for disjointness.
 pub static SANITIZE_CLAIMS_CHECKED: Counter = Counter::new("sanitize_claims_checked");
-/// Fused tape nodes executed (`LinearAffine`, `TimeEncodeFused`,
-/// `MultiHeadGroupedAttention`, and the `gather_rows_from` leaf).
+/// Fused tape nodes executed (`LinearAffine`, `GatherLinearAffine`,
+/// `TimeEncodeFused`, `MultiHeadGroupedAttention`, and the
+/// `gather_rows_from` leaf).
 pub static FUSED_OPS_EXECUTED: Counter = Counter::new("fused_ops_executed");
 /// Tape forward/backward buffers served from the recycled `BufferPool`.
 pub static TAPE_POOL_HITS: Counter = Counter::new("tape_pool_hits");
@@ -101,6 +102,11 @@ pub static TIME_ENCODE_MEMO_HITS: Counter = Counter::new("time_encode_memo_hits"
 /// Coalesced copy runs executed by the tape's pooled SoA gather leaf — a
 /// pure function of the gather index lists, so thread-count-invariant.
 pub static GATHER_COALESCED_RUNS: Counter = Counter::new("tape.gather_coalesced_runs");
+/// Output rows asked of `Tape::gather_linear_affine` (one per gathered slot).
+pub static PROJ_ROWS_REQUESTED: Counter = Counter::new("tape.proj_rows_requested");
+/// Distinct source rows `Tape::gather_linear_affine` actually projected;
+/// requested / projected is the dedup ratio.
+pub static PROJ_ROWS_PROJECTED: Counter = Counter::new("tape.proj_rows_projected");
 
 /// Page-cache lookups served from a resident frame (`benchtemp-store`).
 pub static STORE_PAGE_HITS: Counter = Counter::new("store.page_hits");
@@ -122,7 +128,7 @@ pub static TAPE_POOL_RESIDENT_BYTES: Gauge = Gauge::new("tape.pool_resident_byte
 /// All counters, in a fixed order ([`crate::Recorder`] baselines index into
 /// this slice, so the order is part of the recorder contract).
 pub fn all() -> &'static [&'static Counter] {
-    static ALL: [&Counter; 18] = [
+    static ALL: [&Counter; 20] = [
         &NEGATIVES_SAMPLED,
         &FRONTIER_NODES_EXPANDED,
         &TAPE_NODES_ALLOCATED,
@@ -137,6 +143,8 @@ pub fn all() -> &'static [&'static Counter] {
         &TAPE_POOL_MISSES,
         &TIME_ENCODE_MEMO_HITS,
         &GATHER_COALESCED_RUNS,
+        &PROJ_ROWS_REQUESTED,
+        &PROJ_ROWS_PROJECTED,
         &STORE_PAGE_HITS,
         &STORE_PAGE_MISSES,
         &STORE_PAGE_EVICTIONS,

@@ -52,6 +52,18 @@ impl Linear {
         let b = g.param(self.b);
         g.linear_affine(x, w, b, act)
     }
+
+    /// `src[indices]·W + b` for rows of an external table (node/edge
+    /// features, detached memory): each distinct row is projected once and
+    /// the results are gathered — one tape node, bit-identical to
+    /// `gather_rows_from` followed by [`Linear::forward`] (see
+    /// [`crate::tape::Tape::gather_linear_affine`]).
+    pub fn forward_gathered(&self, g: &mut Graph, src: &Matrix, indices: &[usize]) -> Var {
+        debug_assert_eq!(src.cols(), self.in_dim, "Linear: source width");
+        let w = g.param(self.w);
+        let b = g.param(self.b);
+        g.gather_linear_affine(src, indices, w, b, Activation::None)
+    }
 }
 
 /// Two-layer MLP with ReLU, the decoder head used across the pipeline.

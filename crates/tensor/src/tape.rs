@@ -102,6 +102,17 @@ enum Op {
         b: usize,
         act: Activation,
     },
+    /// Fused `act(src[indices]·w + b)` — see
+    /// [`Tape::gather_linear_affine`]. `rows` holds the distinct source
+    /// rows X_u and `inv[r]` is output row `r`'s row of X_u; both are
+    /// [`ProjScratch`] storage, recycled at reset.
+    GatherLinearAffine {
+        rows: Matrix,
+        inv: Vec<usize>,
+        w: usize,
+        b: usize,
+        act: Activation,
+    },
     /// Fused `cos(dt·ω + φ)` — see [`Tape::time_encode_fused`]. The Δt
     /// column is saved (pool-granted, recycled at reset) for the backward
     /// `dtᵀ·gs` product.
@@ -160,7 +171,8 @@ impl Op {
             | Op::ConcatRows(a, b)
             | Op::TimeEncodeFused {
                 phase: a, omega: b, ..
-            } => [Some(*a), Some(*b), None],
+            }
+            | Op::GatherLinearAffine { b: a, w: b, .. } => [Some(*a), Some(*b), None],
             Op::GroupedAttention { q, k, v, .. }
             | Op::MultiHeadGroupedAttention { q, k, v, .. } => [Some(*q), Some(*k), Some(*v)],
             Op::LinearAffine { x, w, b, .. } => [Some(*b), Some(*x), Some(*w)],
@@ -255,6 +267,62 @@ impl BufferPool {
     }
 }
 
+/// Storage behind [`Tape::gather_linear_affine`]. The distinct-row count
+/// changes from call to call, so none of this goes through the shape-keyed
+/// [`BufferPool`], where every new count would open a new bin: row buffers
+/// and index lists come back whole through plain free lists at reset and
+/// only grow until they fit the largest call.
+#[derive(Default)]
+struct ProjScratch {
+    /// `stamp[i]` is 1 + the slot of source row `i` in the current call's
+    /// distinct list, 0 when unseen. Sized to the largest source table yet;
+    /// a call clears only the entries it set.
+    stamp: Vec<u32>,
+    /// Distinct source rows of the current call, in first-seen order.
+    uniq: Vec<usize>,
+    /// Free row buffers: the X_u each node keeps, the P_u each call uses.
+    free_rows: Vec<Vec<f32>>,
+    /// Free `inv` index lists.
+    free_inv: Vec<Vec<usize>>,
+}
+
+impl ProjScratch {
+    /// Fill `uniq` with the distinct rows of `indices` in first-seen order
+    /// and `inv` with each index's slot in it.
+    fn dedup(&mut self, src_rows: usize, indices: &[usize], inv: &mut Vec<usize>) {
+        if let Some(&bad) = indices.iter().find(|&&i| i >= src_rows) {
+            panic!("gather_linear_affine: index {bad} out of {src_rows} rows");
+        }
+        if self.stamp.len() < src_rows {
+            self.stamp.resize(src_rows, 0);
+        }
+        self.uniq.clear();
+        inv.clear();
+        for &i in indices {
+            let slot = match self.stamp[i] {
+                0 => {
+                    self.uniq.push(i);
+                    self.stamp[i] = u32::try_from(self.uniq.len()).expect("row slot fits u32");
+                    self.uniq.len() - 1
+                }
+                s => s as usize - 1,
+            };
+            inv.push(slot);
+        }
+        for &i in &self.uniq {
+            self.stamp[i] = 0;
+        }
+    }
+
+    /// A `rows × cols` matrix over a recycled buffer (contents zeroed).
+    fn take_rows(&mut self, rows: usize, cols: usize) -> Matrix {
+        let mut buf = self.free_rows.pop().unwrap_or_default();
+        buf.clear();
+        buf.resize(rows * cols, 0.0);
+        Matrix::from_vec(rows, cols, buf)
+    }
+}
+
 /// Arena tape for one forward/backward round.
 #[derive(Default)]
 pub struct Tape {
@@ -273,6 +341,7 @@ pub struct Tape {
     /// so steady-state batches don't re-allocate it. Lookup-only — never
     /// iterated — so hash order can't leak into results.
     te_memo: std::collections::HashMap<u32, usize>,
+    proj: ProjScratch,
 }
 
 impl Tape {
@@ -283,6 +352,7 @@ impl Tape {
             granted_since_reset: 0,
             absorbed_since_reset: 0,
             te_memo: std::collections::HashMap::new(),
+            proj: ProjScratch::default(),
         }
     }
 
@@ -332,6 +402,10 @@ impl Tape {
                 | Op::MultiHeadGroupedAttention { weights, .. } => {
                     let (r, c) = weights.shape();
                     self.pool.put(r, c, weights.into_vec());
+                }
+                Op::GatherLinearAffine { rows, inv, .. } => {
+                    self.proj.free_rows.push(rows.into_vec());
+                    self.proj.free_inv.push(inv);
                 }
                 _ => {}
             }
@@ -940,6 +1014,76 @@ impl Tape {
         )
     }
 
+    /// Fused `act(src[indices]·w + b)` over rows of an external table (node
+    /// or edge features): each distinct source row is projected once, then
+    /// the projected rows are gathered. Replaces [`Tape::gather_rows_from`]
+    /// → [`Tape::linear_affine`], which projects a row again for every slot
+    /// it fills.
+    ///
+    /// Bit-identical to that pair. Forward: the matmul kernel gives every
+    /// row the same per-row FP order wherever the row sits (the determinism
+    /// note on `matmul_row_kernel`), the bias/activation epilogue is per
+    /// element, and gathering is a copy. Backward: `db` and the activation
+    /// derivative are the [`Tape::linear_affine`] rules over the gathered
+    /// output, and `dW = X_gᵀ·gp` runs over all `indices.len()` rows in
+    /// their order, reading row `r` of X_g as X_u row `inv[r]`
+    /// ([`Matrix::transpose_matmul_rows`]). Like the gather leaf, `src`
+    /// gets no gradient.
+    pub fn gather_linear_affine(
+        &mut self,
+        src: &Matrix,
+        indices: &[usize],
+        w: Var,
+        b: Var,
+        act: Activation,
+    ) -> Var {
+        let (k, n) = self.shape(w);
+        assert_eq!(
+            src.cols(),
+            k,
+            "gather_linear_affine: source width != w rows"
+        );
+        let mut inv = self.proj.free_inv.pop().unwrap_or_default();
+        let rows = {
+            let _span = benchtemp_obs::span("gather");
+            self.proj.dedup(src.rows(), indices, &mut inv);
+            let mut rows = self.proj.take_rows(self.proj.uniq.len(), k);
+            let runs = src.gather_rows_into(&self.proj.uniq, &mut rows);
+            benchtemp_obs::counters::GATHER_COALESCED_RUNS.add(runs);
+            rows
+        };
+        let u = rows.rows();
+        let mut projected = self.proj.take_rows(u, n);
+        {
+            let (wm, bm) = (&self.nodes[w.0].value, &self.nodes[b.0].value);
+            assert_eq!(bm.shape(), (1, n), "gather_linear_affine: b must be 1×n");
+            rows.matmul_into(wm, &mut projected);
+            let brow = bm.row(0);
+            crate::matrix::fill_rows_par(&mut projected, u * n, |_r, row| {
+                bias_act_epilogue(row, brow, act);
+            });
+        }
+        let mut out = self.alloc_raw(indices.len(), n);
+        {
+            let _span = benchtemp_obs::span("gather");
+            projected.gather_rows_into(&inv, &mut out);
+        }
+        self.proj.free_rows.push(projected.into_vec());
+        benchtemp_obs::counters::PROJ_ROWS_REQUESTED.add(indices.len() as u64);
+        benchtemp_obs::counters::PROJ_ROWS_PROJECTED.add(u as u64);
+        benchtemp_obs::counters::FUSED_OPS_EXECUTED.incr();
+        self.push(
+            out,
+            Op::GatherLinearAffine {
+                rows,
+                inv,
+                w: w.0,
+                b: b.0,
+                act,
+            },
+        )
+    }
+
     /// Fused time encoding `cos(dt·ω + φ)` over a Δt slice: the outer
     /// product (n×1 · 1×d), bias broadcast, and cosine collapse into one
     /// node, replacing the four-node chain `leaf(column)` → `matmul` →
@@ -1463,62 +1607,28 @@ impl Tape {
             Op::LinearAffine { x, w, b, act } => {
                 let xm = &self.nodes[*x].value;
                 let wm = &self.nodes[*w].value;
-                let y = &node.value;
-                let (m, n) = y.shape();
-                // gp = g ⊙ act'(y), the derivative taken from the *output*
-                // exactly as the unfused activation nodes compute it (for
-                // ReLU, y > 0 ⟺ pre-activation > 0, so the output test is
-                // bitwise equal to the unfused pre-activation test; sigmoid
-                // and tanh backward already read the output). Row-parallel
-                // through the claimed pool partition — each element is
-                // written once, so worker count cannot change bits.
-                let gp_owned: Option<Matrix> = match act {
-                    // Identity activation: the incoming gradient passes
-                    // through untouched, so skip the scratch copy entirely
-                    // and feed `g` straight into the matmul backward.
-                    Activation::None => None,
-                    Activation::Relu => {
-                        let mut gp = Matrix::zeros(m, n);
-                        crate::matrix::fill_rows_par(&mut gp, m * n, |r, row| {
-                            for ((o, &gg), &yy) in row.iter_mut().zip(g.row(r)).zip(y.row(r)) {
-                                *o = if yy > 0.0 { gg } else { 0.0 };
-                            }
-                        });
-                        Some(gp)
-                    }
-                    Activation::Sigmoid => {
-                        let mut gp = Matrix::zeros(m, n);
-                        crate::matrix::fill_rows_par(&mut gp, m * n, |r, row| {
-                            for ((o, &gg), &yy) in row.iter_mut().zip(g.row(r)).zip(y.row(r)) {
-                                *o = gg * yy * (1.0 - yy);
-                            }
-                        });
-                        Some(gp)
-                    }
-                    Activation::Tanh => {
-                        let mut gp = Matrix::zeros(m, n);
-                        crate::matrix::fill_rows_par(&mut gp, m * n, |r, row| {
-                            for ((o, &gg), &yy) in row.iter_mut().zip(g.row(r)).zip(y.row(r)) {
-                                *o = gg * (1.0 - yy * yy);
-                            }
-                        });
-                        Some(gp)
-                    }
-                };
+                let gp_owned = activation_grad(g, &node.value, *act);
                 let gp: &Matrix = gp_owned.as_ref().unwrap_or(g);
                 // Bias first: the unfused reverse walk reaches the broadcast
-                // node before the matmul node. Same column-sum loop order.
-                acc.bump(*b, || {
-                    let mut db = Matrix::zeros(1, n);
-                    for r in 0..m {
-                        for (o, &v) in db.row_mut(0).iter_mut().zip(gp.row(r)) {
-                            *o += v;
-                        }
-                    }
-                    db
-                });
+                // node before the matmul node.
+                acc.bump(*b, || bias_grad(gp));
                 acc.bump(*x, || gp.matmul_transpose(wm));
                 acc.bump(*w, || xm.transpose_matmul(gp));
+            }
+            Op::GatherLinearAffine {
+                rows,
+                inv,
+                w,
+                b,
+                act,
+            } => {
+                // The `LinearAffine` rules over the gathered output, with
+                // X_g read in place as X_u[inv[r]]; the source table is not
+                // a tape node, so there is no input gradient.
+                let gp_owned = activation_grad(g, &node.value, *act);
+                let gp: &Matrix = gp_owned.as_ref().unwrap_or(g);
+                acc.bump(*b, || bias_grad(gp));
+                acc.bump(*w, || rows.transpose_matmul_rows(inv, gp));
             }
             Op::TimeEncodeFused { omega, phase, dts } => {
                 let om = &self.nodes[*omega].value;
@@ -1623,6 +1733,45 @@ impl Gradients {
     pub fn take(&mut self, v: Var) -> Option<Matrix> {
         self.grads.get_mut(v.0).and_then(Option::take)
     }
+}
+
+/// `gp = g ⊙ act'(y)` for the fused affine ops, the derivative taken from
+/// the *output* exactly as the unfused activation nodes compute it (for
+/// ReLU, y > 0 ⟺ pre-activation > 0, so the output test is bitwise equal to
+/// the unfused pre-activation test; sigmoid and tanh backward already read
+/// the output). `None` for the identity: the incoming gradient passes
+/// through untouched, with no scratch copy. Row-parallel through the
+/// claimed pool partition — each element is written once, so worker count
+/// cannot change bits.
+fn activation_grad(g: &Matrix, y: &Matrix, act: Activation) -> Option<Matrix> {
+    fn rows(g: &Matrix, y: &Matrix, d: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
+        let (m, n) = y.shape();
+        let mut gp = Matrix::zeros(m, n);
+        crate::matrix::fill_rows_par(&mut gp, m * n, |r, row| {
+            for ((o, &gg), &yy) in row.iter_mut().zip(g.row(r)).zip(y.row(r)) {
+                *o = d(gg, yy);
+            }
+        });
+        gp
+    }
+    match act {
+        Activation::None => None,
+        Activation::Relu => Some(rows(g, y, |gg, yy| if yy > 0.0 { gg } else { 0.0 })),
+        Activation::Sigmoid => Some(rows(g, y, |gg, yy| gg * yy * (1.0 - yy))),
+        Activation::Tanh => Some(rows(g, y, |gg, yy| gg * (1.0 - yy * yy))),
+    }
+}
+
+/// Bias gradient of the fused affine ops: the column sums of `gp`, in the
+/// row order of the unfused broadcast node's backward.
+fn bias_grad(gp: &Matrix) -> Matrix {
+    let mut db = Matrix::zeros(1, gp.cols());
+    for r in 0..gp.rows() {
+        for (o, &v) in db.row_mut(0).iter_mut().zip(gp.row(r)) {
+            *o += v;
+        }
+    }
+    db
 }
 
 /// Lane-blocked bias+activation epilogue of [`Tape::linear_affine`]:

@@ -162,4 +162,42 @@ fn steady_state_forward_is_allocation_free_after_warmup() {
         "steady-state gather+forward allocated {} times after warm-up",
         after - before
     );
+
+    // The gathered projection's distinct-row count differs from batch to
+    // batch. Its row buffers and index lists are not keyed by shape, so a
+    // count the warm-up never produced must not mint new storage: warm up
+    // on 12 distinct rows of 12 slots, then measure batches with 2, 5 and
+    // 9 distinct rows — a shape-keyed pool would miss on every one.
+    let warm_list: Vec<usize> = (20..32).collect();
+    let lists: [Vec<usize>; 3] = [
+        vec![7, 7, 7, 3, 3, 7, 7, 3, 3, 3, 7, 7],
+        vec![0, 39, 0, 12, 5, 5, 39, 12, 0, 5, 39, 0],
+        vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3],
+    ];
+    let proj_step = |store: &ParamStore, table: &Matrix, idx: &[usize]| -> f32 {
+        let mut g = Graph::new(store);
+        let y = mlp.fc1.forward_gathered(&mut g, table, idx);
+        g.value(y).as_slice().iter().sum()
+    };
+    let mut warm_proj = 0.0f32;
+    for _ in 0..5 {
+        warm_proj += proj_step(&store, &table, &warm_list);
+    }
+    assert!(warm_proj.is_finite());
+
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let mut measured_proj = 0.0f32;
+    for _ in 0..10 {
+        for idx in &lists {
+            measured_proj += proj_step(&store, &table, idx);
+        }
+    }
+    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    assert!(measured_proj.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state gathered projection allocated {} times after warm-up",
+        after - before
+    );
 }

@@ -6,12 +6,14 @@
 //! values *and* gradients must match exactly (`f32::to_bits`), not just
 //! approximately. Each test builds that primitive chain explicitly as its
 //! reference oracle and pins the contract across a grid of shapes (1×1,
-//! ragged, large), every activation, every attention mask pattern, and the
-//! Δt-memoization fast path.
+//! ragged, large), every activation, every attention mask pattern, the
+//! Δt-memoization fast path, and the distinct-row dedup of the gathered
+//! projection.
 
 use benchtemp_tensor::nn::Mlp;
 use benchtemp_tensor::tape::Activation;
 use benchtemp_tensor::{init, Graph, Matrix, ParamStore, Tape, Var};
+use benchtemp_util::child::{self, Fnv1a};
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = init::rng(seed);
@@ -75,6 +77,148 @@ fn linear_affine_matches_unfused_bitwise() {
             );
         }
     }
+}
+
+/// `act(table[idx]·w + b)` with `(w, b)` seeded by `seed`, through
+/// [`Tape::gather_linear_affine`] or its reference pair `gather_rows_from` →
+/// `linear_affine`. Returns (y, dw, db) as bits; the table gets no gradient
+/// on either side.
+fn run_gathered(
+    fused: bool,
+    table: &Matrix,
+    idx: &[usize],
+    n: usize,
+    act: Activation,
+    seed: u64,
+) -> Vec<Vec<u32>> {
+    let k = table.cols();
+    run(vec![mat(k, n, seed), mat(1, n, seed + 1)], |t, v| {
+        if fused {
+            return t.gather_linear_affine(table, idx, v[0], v[1], act);
+        }
+        let x = t.gather_rows_from(table, idx);
+        t.linear_affine(x, v[0], v[1], act)
+    })
+}
+
+#[test]
+fn gather_linear_affine_matches_gather_then_linear_bitwise() {
+    let table = mat(40, 9, 61);
+    let all_distinct: Vec<usize> = (0..40).map(|i| (i * 7) % 40).collect();
+    // A frontier-shaped list: few distinct rows, long repeats, padding 0s.
+    let heavy_repeats: Vec<usize> = (0..64)
+        .map(|i| [3, 3, 0, 17, 3, 0, 39, 17][i % 8])
+        .collect();
+    let cases: [(&str, Vec<usize>); 4] = [
+        ("all distinct", all_distinct),
+        ("heavy repeats", heavy_repeats),
+        ("single row", vec![12]),
+        ("empty", Vec::new()),
+    ];
+    for (i, (name, idx)) in cases.iter().enumerate() {
+        for (j, &act) in ACTS.iter().enumerate() {
+            let seed = 700 + (i * ACTS.len() + j) as u64 * 5;
+            assert_eq!(
+                run_gathered(false, &table, idx, 11, act, seed),
+                run_gathered(true, &table, idx, 11, act, seed),
+                "gather_linear_affine bits diverged: {name}, act {act:?}"
+            );
+        }
+    }
+}
+
+/// One tape serving several gathered projections, across a reset: the
+/// dedup scratch (stamps, distinct list, recycled row buffers) carries no
+/// state from one call into the next.
+#[test]
+fn gather_linear_affine_reuses_tape_scratch_cleanly() {
+    let nodes = mat(30, 6, 67);
+    let edges = mat(12, 6, 68);
+    let calls: [(&Matrix, Vec<usize>); 3] = [
+        (&nodes, vec![29, 4, 4, 0, 29, 17]),
+        (&edges, vec![11, 4, 0, 4, 11, 11, 2]),
+        (&nodes, vec![4, 5, 6, 7, 29, 29]),
+    ];
+    let mut t = Tape::new();
+    for round in 0..2 {
+        let w = t.leaf(mat(6, 5, 69));
+        let b = t.leaf(mat(1, 5, 70));
+        for (i, (table, idx)) in calls.iter().enumerate() {
+            let fused = t.gather_linear_affine(table, idx, w, b, Activation::Tanh);
+            let x = t.gather_rows_from(table, idx);
+            let pair = t.linear_affine(x, w, b, Activation::Tanh);
+            assert_eq!(
+                bits(t.value(fused)),
+                bits(t.value(pair)),
+                "call {i} of round {round}"
+            );
+        }
+        t.reset();
+    }
+}
+
+/// The TGAT hop-2 shape: 12,000 slots over 300 distinct rows of a
+/// 1,575-row, 172-wide edge table, so the projection, the output gather
+/// and the `dW` kernel all cross `PAR_FLOPS`. Asserts fused == pair for
+/// every activation in this process and digests the bits; with the tape
+/// reset after each run, the sanitize arm also checks the grant/absorb
+/// balance.
+fn large_gathered_digest() -> u64 {
+    let table = mat(1575, 172, 62);
+    let idx: Vec<usize> = (0..12_000).map(|i| (i / 3 * 37) % 300 * 5).collect();
+    let mut h = Fnv1a::new();
+    for (j, &act) in ACTS.iter().enumerate() {
+        let seed = 800 + j as u64 * 3;
+        let pair = run_gathered(false, &table, &idx, 32, act, seed);
+        let fused = run_gathered(true, &table, &idx, 32, act, seed);
+        assert_eq!(
+            pair, fused,
+            "large gather_linear_affine diverged, act {act:?}"
+        );
+        for word in fused.iter().flatten() {
+            h.write(&word.to_le_bytes());
+        }
+    }
+    let mut t = Tape::new();
+    let w = t.leaf(mat(172, 32, 63));
+    let b = t.leaf(mat(1, 32, 64));
+    let y = t.gather_linear_affine(&table, &idx, w, b, Activation::Relu);
+    let loss = t.mean_all(y);
+    let _ = t.backward(loss, &[w, b]);
+    t.reset();
+    h.finish()
+}
+
+/// Child-process worker; a no-op unless spawned by the driver below.
+#[test]
+fn gather_linear_affine_child_worker() {
+    if child::is_child() {
+        child::report(format!("{:016x}", large_gathered_digest()));
+    }
+}
+
+/// 1 thread, 4 threads and 4 threads + `BENCHTEMP_SANITIZE=1`: the large
+/// fused projection matches its pair in every arm and all arms agree.
+#[test]
+fn large_gather_linear_affine_bit_identical_across_threads() {
+    child::assert_bit_identical(&[
+        "gather_linear_affine_child_worker",
+        "--exact",
+        "--nocapture",
+    ]);
+}
+
+#[test]
+fn gather_linear_affine_counts_requested_and_projected_rows() {
+    let requested = &benchtemp_obs::counters::PROJ_ROWS_REQUESTED;
+    let projected = &benchtemp_obs::counters::PROJ_ROWS_PROJECTED;
+    let (r0, p0) = (requested.get(), projected.get());
+    let table = mat(10, 4, 65);
+    run_gathered(true, &table, &[4, 4, 9, 4, 0, 9], 3, Activation::None, 66);
+    // Counters are process-wide and tests run in parallel: other tests can
+    // only add to both.
+    assert!(requested.get() - r0 >= 6);
+    assert!(projected.get() - p0 >= 3);
 }
 
 /// Time encoding of `dts` over `(ω, φ)` seeded by `seed`, through the fused

@@ -5,7 +5,7 @@
 //! tape gradient of each input entry against the central finite difference.
 
 use benchtemp_tensor::init::{self, SeededRng};
-use benchtemp_tensor::tape::Var;
+use benchtemp_tensor::tape::{Activation, Var};
 use benchtemp_tensor::{Matrix, Tape};
 
 /// Builds the scalar loss for a given set of input values.
@@ -198,6 +198,23 @@ fn grad_gather_rows_with_repeats() {
             let y = t.gather_rows(x, &[0, 2, 2, 3]);
             let loss = weighted_sum(t, y, &mut init::rng(99));
             (vec![x], loss)
+        },
+        2e-2,
+    );
+}
+
+#[test]
+fn grad_gather_linear_affine_with_repeats() {
+    let table = mat(5, 3, 43);
+    gradcheck(
+        "gather_linear_affine",
+        &[mat(3, 4, 44), mat(1, 4, 45)],
+        &move |t, ins| {
+            let w = t.leaf(ins[0].clone());
+            let b = t.leaf(ins[1].clone());
+            let y = t.gather_linear_affine(&table, &[1, 4, 1, 0, 4, 4], w, b, Activation::Tanh);
+            let loss = weighted_sum(t, y, &mut init::rng(99));
+            (vec![w, b], loss)
         },
         2e-2,
     );
