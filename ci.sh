@@ -15,6 +15,16 @@ echo "== ci: tier-1 verify =="
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+echo "== ci: e2ebench build + identity tests (the benchmark's view of the public API) =="
+# Building e2ebench rewrites its stale Cargo.lock; keep the committed copy.
+E2E_LOCK=$(mktemp /tmp/benchtemp-ci-e2e-lock.XXXXXX)
+cp e2ebench/Cargo.lock "$E2E_LOCK"
+e2e_status=0
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml || e2e_status=$?
+cp "$E2E_LOCK" e2ebench/Cargo.lock
+rm -f "$E2E_LOCK"
+[ "$e2e_status" -eq 0 ] || { echo "e2ebench tests failed"; exit 1; }
+
 echo "== ci: overhead smoke bench (tracing + sanitizer; eval AUC/AP bits across 1 thread, 4 threads, 4 threads + sanitize) =="
 cargo run --release --offline -p benchtemp-bench --bin bench_kernels -- --smoke
 

@@ -27,6 +27,7 @@ use benchtemp_core::efficiency::stage;
 use benchtemp_core::evaluator::auc_ap_pos_neg;
 use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_graph::neighbors::{NeighborEvent, NeighborFinder, SampleScratch, SamplingStrategy};
+use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_obs as obs;
 use benchtemp_obs::counters::SANITIZE_CLAIMS_CHECKED;
 use benchtemp_tensor::nn::Mlp;
@@ -69,12 +70,13 @@ impl SamplingWorkload {
         out: &mut Vec<NeighborEvent>,
     ) -> usize {
         let mut rng = init::rng(9);
+        let nb = NeighborBackend::Resident(&self.nf);
         let mut total = 0usize;
         for chunk in self.queries.chunks(BATCH) {
             let _dense = instrument.then(|| obs::span(stage::DENSE));
             let _sampling = instrument.then(|| obs::span(stage::SAMPLING));
             for &(node, t) in chunk {
-                self.nf.sample_into(
+                nb.sample_into(
                     node,
                     t,
                     SAMPLE_K,

@@ -3,7 +3,7 @@
 //! **Average Rank** metric over the four large-scale datasets, plus the
 //! efficiency block (Table 20).
 
-use benchtemp_bench::{run_lp_seed, save_json, Protocol, TableBuilder};
+use benchtemp_bench::{measured, run_lp_seed, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::Setting;
 use benchtemp_core::leaderboard::Leaderboard;
 use benchtemp_graph::datasets::BenchDataset;
@@ -47,10 +47,10 @@ fn main() {
                 );
                 let ds = dataset.name();
                 for (i, setting) in Setting::all().iter().enumerate() {
-                    let m = run.metrics_for(*setting);
-                    auc[i].1.add(ds, model, m.auc);
-                    ap[i].1.add(ds, model, m.ap);
-                    per_setting[i].push(m.auc);
+                    let m = measured(&run, *setting);
+                    auc[i].1.add_opt(ds, model, m.map(|m| m.auc));
+                    ap[i].1.add_opt(ds, model, m.map(|m| m.ap));
+                    per_setting[i].extend(m.map(|m| m.auc));
                 }
                 runtime.add(ds, model, run.efficiency.runtime_per_epoch_secs);
                 if let Some(b) = run.efficiency.peak_rss_bytes {
@@ -68,6 +68,9 @@ fn main() {
                 }
             }
             for (i, setting) in Setting::all().iter().enumerate() {
+                if per_setting[i].is_empty() {
+                    continue;
+                }
                 leaderboard.push_runs(
                     model,
                     dataset.name(),

@@ -3,7 +3,7 @@
 //! one (USLegis, timestamps 0..11): removing NODEs should hurt CanParl far
 //! more than USLegis (Appendix H).
 
-use benchtemp_bench::{run_lp_seed, save_json, Protocol, TableBuilder};
+use benchtemp_bench::{measured, run_lp_seed, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::Setting;
 use benchtemp_graph::datasets::BenchDataset;
 use benchtemp_util::json;
@@ -25,10 +25,10 @@ fn main() {
                     run.transductive.auc
                 );
                 for setting in Setting::all() {
-                    let m = run.metrics_for(setting);
+                    let m = measured(&run, setting);
                     let row = format!("{} / {}", dataset.name(), setting.name());
-                    auc.add(&row, variant, m.auc);
-                    ap.add(&row, variant, m.ap);
+                    auc.add_opt(&row, variant, m.map(|m| m.auc));
+                    ap.add_opt(&row, variant, m.map(|m| m.ap));
                 }
                 raw_runs.push(run);
             }

@@ -4,7 +4,8 @@
 //! walk mechanism should do visibly better on the denser subgraph.
 
 use benchtemp_bench::{
-    density, density_subgraphs, render_table, run_lp_seed_on, save_json, Protocol, TableBuilder,
+    density, density_subgraphs, measured, render_table, run_lp_seed_on, save_json, Protocol,
+    TableBuilder,
 };
 use benchtemp_core::dataloader::Setting;
 use benchtemp_core::sampler::NegativeStrategy;
@@ -54,9 +55,9 @@ fn main() {
                 g.name, run.transductive.auc
             );
             for setting in Setting::all() {
-                let m = run.metrics_for(setting);
-                auc.add(&g.name, setting.name(), m.auc);
-                ap.add(&g.name, setting.name(), m.ap);
+                let m = measured(&run, setting);
+                auc.add_opt(&g.name, setting.name(), m.map(|m| m.auc));
+                ap.add_opt(&g.name, setting.name(), m.map(|m| m.ap));
             }
             raw_runs.push(run);
         }

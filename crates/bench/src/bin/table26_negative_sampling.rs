@@ -3,7 +3,7 @@
 //! near-saturated AUC/AP on Reddit/Wikipedia/Flights-style datasets well
 //! below the random-sampler numbers.
 
-use benchtemp_bench::{save_json, Protocol, TableBuilder};
+use benchtemp_bench::{measured, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::Setting;
 use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_graph::datasets::BenchDataset;
@@ -50,10 +50,10 @@ fn main() {
                     run.transductive.auc
                 );
                 for setting in Setting::all() {
-                    let m = run.metrics_for(setting);
+                    let m = measured(&run, setting);
                     let row = format!("{} / {}", sname, dataset.name());
-                    auc.add(&row, setting.name(), m.auc);
-                    ap.add(&row, setting.name(), m.ap);
+                    auc.add_opt(&row, setting.name(), m.map(|m| m.auc));
+                    ap.add_opt(&row, setting.name(), m.map(|m| m.ap));
                 }
                 raw_runs.push(run);
             }

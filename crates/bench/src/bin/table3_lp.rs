@@ -11,7 +11,7 @@
 //!
 //! Timeouts are marked the way the paper marks them ("x" / "—").
 
-use benchtemp_bench::{run_lp_seed, save_json, Protocol, TableBuilder};
+use benchtemp_bench::{measured, run_lp_seed, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::Setting;
 use benchtemp_graph::datasets::BenchDataset;
 use benchtemp_models::zoo::PAPER_MODELS;
@@ -72,10 +72,10 @@ fn main() {
                 );
                 let ds = dataset.name();
                 for (setting, table) in auc.iter_mut() {
-                    table.add(ds, model, run.metrics_for(*setting).auc);
+                    table.add_opt(ds, model, measured(&run, *setting).map(|m| m.auc));
                 }
                 for (setting, table) in ap.iter_mut() {
-                    table.add(ds, model, run.metrics_for(*setting).ap);
+                    table.add_opt(ds, model, measured(&run, *setting).map(|m| m.ap));
                 }
                 for (tables, pick) in [
                     (
@@ -87,8 +87,10 @@ fn main() {
                     (&mut hits10, |r| r.hits_at_10),
                 ] {
                     for (setting, table) in tables.iter_mut() {
-                        if let Some(r) = &run.metrics_for(*setting).ranking {
-                            table.add(ds, model, pick(r));
+                        // Ranking ran for this job; an empty setting
+                        // still gets its `n/a` cell.
+                        if let Some(r) = run.metrics_for(*setting).ranking {
+                            table.add_opt(ds, model, measured(&run, *setting).map(|_| pick(&r)));
                         }
                     }
                 }

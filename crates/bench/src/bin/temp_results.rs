@@ -2,7 +2,7 @@
 //! across the four settings on all fifteen datasets, LP efficiency, and
 //! node-classification AUC + efficiency on the labelled datasets.
 
-use benchtemp_bench::{run_lp_seed, run_nc_seed_on, save_json, Protocol, TableBuilder};
+use benchtemp_bench::{measured, run_lp_seed, run_nc_seed_on, save_json, Protocol, TableBuilder};
 use benchtemp_core::dataloader::Setting;
 use benchtemp_graph::datasets::BenchDataset;
 use benchtemp_util::json;
@@ -27,9 +27,9 @@ fn main() {
             );
             let ds = dataset.name();
             for setting in Setting::all() {
-                let m = run.metrics_for(setting);
-                auc.add(ds, setting.name(), m.auc);
-                ap.add(ds, setting.name(), m.ap);
+                let m = measured(&run, setting);
+                auc.add_opt(ds, setting.name(), m.map(|m| m.auc));
+                ap.add_opt(ds, setting.name(), m.map(|m| m.ap));
             }
             eff.add(
                 ds,

@@ -13,10 +13,10 @@ use std::time::Duration;
 
 use benchtemp_util::{json, Json, ToJson};
 
-use benchtemp_core::dataloader::LinkPredSplit;
+use benchtemp_core::dataloader::{LinkPredSplit, Setting};
 use benchtemp_core::pipeline::{
     train_link_prediction, train_node_classification, LinkPredictionRun, NodeClassificationRun,
-    TrainConfig,
+    SettingMetrics, TrainConfig,
 };
 use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_core::FilteredNegativeSet;
@@ -366,7 +366,7 @@ pub fn density_subgraphs(scale: f64) -> [TemporalGraph; 2] {
 }
 
 /// Aggregated (mean ± std) cell.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct Cell {
     pub mean: f64,
     pub std: f64,
@@ -422,7 +422,6 @@ pub fn render_table(title: &str, headers: &[String], rows: &[Vec<String>]) -> St
     out
 }
 
-/// Write a serializable value as pretty JSON under the given directory.
 /// Minimal wall-clock micro-benchmark harness for the `harness = false`
 /// benches and the `bench_kernels` overhead report. Auto-calibrates the
 /// iteration count from one warm-up pass, then reports the median over
@@ -468,6 +467,7 @@ pub mod timing {
     }
 }
 
+/// Write a serializable value as pretty JSON under the given directory.
 pub fn save_json<T: ToJson + ?Sized>(dir: &Path, name: &str, value: &T) {
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(name);
@@ -476,23 +476,30 @@ pub fn save_json<T: ToJson + ?Sized>(dir: &Path, name: &str, value: &T) {
     eprintln!("[saved] {}", path.display());
 }
 
+/// The metrics of `setting` in `run`, or `None` when its test set is
+/// empty. The evaluator scores an empty set as AUC 0.5 / AP 0 by
+/// convention; that is no measurement, so no table cell may hold it.
+pub fn measured(run: &LinkPredictionRun, setting: Setting) -> Option<SettingMetrics> {
+    let m = run.metrics_for(setting);
+    (m.n_edges > 0).then_some(m)
+}
+
 /// Mark the best / second-best cells, mirroring the paper's bold-red /
 /// underlined-blue convention (second suppressed when the gap > 0.05).
-pub fn mark_best(cells: &mut [String], means: &[f64]) {
-    if means.is_empty() {
+/// A cell with no value (`None`) is never marked.
+pub fn mark_best(cells: &mut [String], means: &[Option<f64>]) {
+    let mut ranked: Vec<(usize, f64)> = means
+        .iter()
+        .enumerate()
+        .filter_map(|(i, m)| m.map(|m| (i, m)))
+        .collect();
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let Some(&(best, top)) = ranked.first() else {
         return;
-    }
-    let mut idx: Vec<usize> = (0..means.len()).collect();
-    idx.sort_by(|&a, &b| {
-        means[b]
-            .partial_cmp(&means[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let best = idx[0];
+    };
     cells[best] = format!("**{}**", cells[best]);
-    if idx.len() > 1 {
-        let second = idx[1];
-        if means[best] - means[second] <= 0.05 {
+    if let Some(&(second, next)) = ranked.get(1) {
+        if top - next <= 0.05 {
             cells[second] = format!("_{}_", cells[second]);
         }
     }
@@ -513,16 +520,24 @@ impl TableBuilder {
     }
 
     pub fn add(&mut self, row: &str, col: &str, value: f64) {
+        self.add_opt(row, col, Some(value));
+    }
+
+    /// Register the (row, col) cell and add `value` when present. A cell
+    /// that only ever gets `None` prints `n/a` and is never marked.
+    pub fn add_opt(&mut self, row: &str, col: &str, value: Option<f64>) {
         if !self.rows.iter().any(|r| r == row) {
             self.rows.push(row.to_string());
         }
         if !self.cols.iter().any(|c| c == col) {
             self.cols.push(col.to_string());
         }
-        self.values
-            .entry((row.to_string(), col.to_string()))
-            .or_default()
-            .push(value);
+        if let Some(value) = value {
+            self.values
+                .entry((row.to_string(), col.to_string()))
+                .or_default()
+                .push(value);
+        }
     }
 
     pub fn cell(&self, row: &str, col: &str) -> Option<Cell> {
@@ -554,13 +569,14 @@ impl TableBuilder {
         headers.extend(self.cols.clone());
         let mut rows = Vec::new();
         for r in &self.rows {
-            let cells: Vec<Cell> = self
-                .cols
+            // A cell with no values — e.g. a setting whose test set is
+            // empty — prints `n/a`, never a placeholder number.
+            let cells: Vec<Option<Cell>> = self.cols.iter().map(|c| self.cell(r, c)).collect();
+            let means: Vec<Option<f64>> = cells.iter().map(|c| c.map(|c| c.mean)).collect();
+            let mut texts: Vec<String> = cells
                 .iter()
-                .map(|c| self.cell(r, c).unwrap_or_default())
+                .map(|c| c.map_or_else(|| "n/a".to_string(), |c| c.fmt()))
                 .collect();
-            let means: Vec<f64> = cells.iter().map(|c| c.mean).collect();
-            let mut texts: Vec<String> = cells.iter().map(Cell::fmt).collect();
             if mark {
                 mark_best(&mut texts, &means);
             }
@@ -632,8 +648,39 @@ mod tests {
     #[test]
     fn mark_best_suppresses_far_second() {
         let mut cells = vec!["a".into(), "b".into()];
-        mark_best(&mut cells, &[0.95, 0.5]);
+        mark_best(&mut cells, &[Some(0.95), Some(0.5)]);
         assert_eq!(cells, vec!["**a**".to_string(), "b".to_string()]);
+    }
+
+    #[test]
+    fn empty_cell_prints_na_and_is_never_marked() {
+        // CAWN has no value for Reddit (an empty New-New test set): it
+        // must print `n/a`, and the markers go to the best two non-empty
+        // cells. A row with no value at all still prints.
+        let mut t = TableBuilder::new();
+        t.add("Wikipedia", "CAWN", 0.99);
+        t.add_opt("Reddit", "CAWN", None);
+        t.add("Reddit", "JODIE", 0.7);
+        t.add("Reddit", "TGN", 0.68);
+        let text = t.render("demo", "Dataset");
+        let reddit = text.lines().find(|l| l.starts_with("Reddit")).unwrap();
+        let cells: Vec<&str> = reddit.split_whitespace().collect();
+        assert_eq!(
+            cells,
+            ["Reddit", "n/a", "**0.7000±0.0000**", "_0.6800±0.0000_"]
+        );
+        assert!(!text.contains("0.0000±0.0000"));
+        t.add_opt("Enron", "TGN", None);
+        let text = t.render("demo", "Dataset");
+        let enron = text.lines().find(|l| l.starts_with("Enron")).unwrap();
+        assert_eq!(
+            enron.split_whitespace().collect::<Vec<_>>(),
+            ["Enron", "n/a", "n/a", "n/a"]
+        );
+        assert_eq!(t.to_entries().len(), 3);
+        let mut cells = vec!["a".into(), "b".into(), "c".into()];
+        mark_best(&mut cells, &[None, Some(0.88), Some(0.9)]);
+        assert_eq!(cells, ["a", "_b_", "**c**"].map(String::from));
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub use datasets::BenchDataset;
 pub use features::FeatureInit;
 pub use generators::GeneratorConfig;
 pub use neighbors::{
-    frontier_stream_seed, BackendScratch, Frontier, FrontierHop, HistoryScratch, NeighborEvent,
-    NeighborFinder, NeighborSlice, SampleScratch, SamplingStrategy,
+    frontier_stream_seed, Frontier, FrontierHop, NeighborEvent, NeighborFinder, NeighborSlice,
+    SampleScratch, SamplingStrategy,
 };
 pub use paged::{NeighborBackend, OwnedNeighborBackend, PagedNeighborFinder};
 pub use stats::DatasetStats;

@@ -10,20 +10,22 @@
 //! of NeurTW with the Appendix-C overflow-safe weighting (Eq. 2–3) for
 //! large-granularity datasets.
 //!
-//! Query paths, from narrowest to widest:
+//! [`NeighborFinder`] only stores the adjacency and answers
+//! [`NeighborFinder::before`]. Sampling is written once, here, generic over
+//! the crate-private `Adjacency` contract that both the resident finder
+//! and the paged store implement; callers reach it through
+//! [`NeighborBackend`](crate::paged::NeighborBackend):
 //!
-//! * [`NeighborFinder::before`] — borrowed [`NeighborSlice`] view, no copy;
-//! * [`NeighborFinder::sample_one`] — scalar fast path for walk hops;
-//!   allocation-free given a caller-owned [`SampleScratch`];
-//! * [`NeighborFinder::sample_into`] — `k` samples into a caller buffer,
-//!   allocation-free after warm-up;
-//! * [`NeighborFinder::sample_before`] — compat shim returning a fresh
-//!   `Vec` (the pre-CSR API, kept so existing call sites compile);
-//! * [`NeighborFinder::sample_frontier`] — batched multi-hop expansion of a
-//!   whole (node, t) root batch into flat per-hop arrays, fanned out over
-//!   the `benchtemp_tensor::pool` workers with one deterministic RNG stream
-//!   per *root index* (never per thread), so results are bit-identical at
-//!   any thread count.
+//! * `sample_one` — scalar fast path for walk hops;
+//! * `sample_into` — `k` samples into a caller buffer;
+//! * `sample_frontier` — batched multi-hop expansion of a whole (node, t)
+//!   root batch into flat per-hop arrays, fanned out over the
+//!   `benchtemp_tensor::pool` workers with one deterministic RNG stream per
+//!   *root index* (never per thread), so results are bit-identical at any
+//!   thread count.
+//!
+//! The first two are allocation-free after warm-up given a caller-owned
+//! [`SampleScratch`].
 
 use benchtemp_tensor::init::SeededRng;
 use benchtemp_tensor::pool::pool;
@@ -84,31 +86,10 @@ impl<'a> NeighborSlice<'a> {
         }
     }
 
-    /// The most recent entry of the window.
-    pub fn last(&self) -> Option<NeighborEvent> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.get(self.len() - 1))
-        }
-    }
-
     /// The raw timestamp column (sorted ascending).
     #[inline]
     pub fn ts(&self) -> &'a [f64] {
         self.ts
-    }
-
-    /// The raw neighbor-id column.
-    #[inline]
-    pub fn neighbor_ids(&self) -> &'a [u32] {
-        self.neighbor
-    }
-
-    /// The raw event-index column.
-    #[inline]
-    pub fn event_indices(&self) -> &'a [u32] {
-        self.event_idx
     }
 
     /// Iterate entries by value, oldest first.
@@ -118,40 +99,19 @@ impl<'a> NeighborSlice<'a> {
     }
 }
 
-/// Reusable per-caller buffers so the weighted strategies never allocate on
-/// the query path: the cumulative-weight column lives here and is resized
-/// once to the longest history seen, then reused.
+/// SoA buffers a paged backend materialises one node's history window
+/// into. The resident backend never touches it: its windows are borrowed
+/// CSR slices.
 #[derive(Default)]
-pub struct SampleScratch {
-    cum: Vec<f64>,
-}
-
-/// Reusable SoA buffers a paged backend materialises one node's history
-/// window into before sampling. The resident backend never touches it
-/// (its windows are borrowed CSR slices), so sharing one scratch type
-/// keeps both backends behind the same API without costing the resident
-/// path anything.
-#[derive(Default)]
-pub struct HistoryScratch {
+pub(crate) struct Window {
     pub(crate) neighbor: Vec<u32>,
     pub(crate) ts: Vec<f64>,
     pub(crate) event_idx: Vec<u32>,
 }
 
-impl HistoryScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.neighbor.clear();
-        self.ts.clear();
-        self.event_idx.clear();
-    }
-
+impl Window {
     /// View the materialised window as a [`NeighborSlice`] — the exact
-    /// type the shared sampling kernels consume, so the paged path runs
-    /// the same code on the same bytes as the resident path.
+    /// type the shared sampling kernels consume.
     pub(crate) fn as_slice(&self) -> NeighborSlice<'_> {
         NeighborSlice {
             neighbor: &self.neighbor,
@@ -159,54 +119,121 @@ impl HistoryScratch {
             event_idx: &self.event_idx,
         }
     }
-
-    /// Heap footprint (efficiency accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.neighbor.capacity() * 4 + self.ts.capacity() * 8 + self.event_idx.capacity() * 4
-    }
 }
 
-/// Combined per-caller scratch for backend-agnostic sampling: the
-/// weighted cumulative column plus (paged backend only) the history
-/// window buffer.
+/// Reusable per-caller buffers so sampling never allocates on the query
+/// path: the cumulative-weight column of the weighted strategies and the
+/// paged backend's window buffer. Both grow once to the longest history
+/// seen, then are reused.
 #[derive(Default)]
-pub struct BackendScratch {
-    pub sample: SampleScratch,
-    pub history: HistoryScratch,
-}
-
-impl BackendScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
+pub struct SampleScratch {
+    pub(crate) cum: Vec<f64>,
+    pub(crate) window: Window,
 }
 
 impl SampleScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Fill the cumulative column with running sums of `weight(ts[i])` and
-    /// return the total. Accumulation order (and therefore every f64 bit)
-    /// matches the pre-CSR implementation: non-finite weights count as 0.
-    ///
-    /// Two passes: raw weights first (no serial dependency, so
-    /// division-based strategies auto-vectorize over the dense `ts`
-    /// column), then an in-place prefix sum in the seed sampler's exact
-    /// accumulation order.
-    fn fill_cum<W: Fn(f64) -> f64>(&mut self, ts: &[f64], weight: W) -> f64 {
-        self.cum.resize(ts.len(), 0.0);
-        for (c, &x) in self.cum.iter_mut().zip(ts) {
-            *c = weight(x);
-        }
-        let mut acc = 0.0;
-        for c in &mut self.cum {
-            let w = *c;
-            acc += if w.is_finite() { w } else { 0.0 };
-            *c = acc;
-        }
-        acc
+/// Fill the cumulative column with running sums of `weight(ts[i])` and
+/// return the total. Accumulation order (and therefore every f64 bit)
+/// matches the pre-CSR implementation: non-finite weights count as 0.
+///
+/// Two passes: raw weights first (no serial dependency, so division-based
+/// strategies auto-vectorize over the dense `ts` column), then an in-place
+/// prefix sum in the seed sampler's exact accumulation order.
+fn fill_cum<W: Fn(f64) -> f64>(cum: &mut Vec<f64>, ts: &[f64], weight: W) -> f64 {
+    cum.resize(ts.len(), 0.0);
+    for (c, &x) in cum.iter_mut().zip(ts) {
+        *c = weight(x);
     }
+    let mut acc = 0.0;
+    for c in cum.iter_mut() {
+        let w = *c;
+        acc += if w.is_finite() { w } else { 0.0 };
+        *c = acc;
+    }
+    acc
+}
+
+/// What a sampler backend supplies: one node's strictly-before-`t` window
+/// plus the event-idx → edge-feature-row map. Everything else — the
+/// strategy dispatch, the `MostRecent` tail rule and the frontier schedule
+/// — is written once over this trait, so the resident and paged backends
+/// run the same code on the same window bytes (DESIGN.md §15). `Sync`
+/// because frontier root ranges fan out over the worker pool sharing
+/// `&self`.
+pub(crate) trait Adjacency: Sync {
+    /// All interactions of `node` strictly before `t`, time-sorted. With
+    /// `tail = Some(n)` the caller reads only the last `n` entries, so a
+    /// backend may return just that suffix (the paged one does, to skip
+    /// page reads); `buf` is where a backend without resident columns
+    /// materialises the window.
+    fn window<'s>(
+        &'s self,
+        node: usize,
+        t: f64,
+        tail: Option<usize>,
+        buf: &'s mut Window,
+    ) -> NeighborSlice<'s>;
+
+    /// Edge-feature row of each event, indexed by event idx.
+    fn event_feat(&self) -> &[u32];
+}
+
+/// The window suffix a strategy reads: `MostRecent` consumes no randomness
+/// and reads only the last `k` entries; every RNG-driven strategy needs the
+/// full window (draw ranges depend on its length).
+#[inline]
+fn strategy_tail(strategy: SamplingStrategy, k: usize) -> Option<usize> {
+    match strategy {
+        SamplingStrategy::MostRecent => Some(k),
+        _ => None,
+    }
+}
+
+/// Clear `out` and fill it with up to `k` samples of `node` before `t`.
+/// Returns fewer than `k` (possibly zero) entries when history is short and
+/// the strategy is `MostRecent`; weighted strategies sample with
+/// replacement, matching the reference implementations. After warm-up
+/// (buffers grown to the largest history/`k` seen) this performs zero heap
+/// allocations per call.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sample_into<B: Adjacency + ?Sized>(
+    backend: &B,
+    node: usize,
+    t: f64,
+    k: usize,
+    strategy: SamplingStrategy,
+    rng: &mut SeededRng,
+    scratch: &mut SampleScratch,
+    out: &mut Vec<NeighborEvent>,
+) {
+    out.clear();
+    if k == 0 {
+        return;
+    }
+    let SampleScratch { cum, window } = scratch;
+    let hist = backend.window(node, t, strategy_tail(strategy, k), window);
+    sample_slice_into(hist, t, k, strategy, rng, cum, out);
+}
+
+/// Scalar fast path for walk engines: one sample, no output buffer. RNG
+/// consumption is bit-identical to `sample_into(.., k = 1, ..)`, so walks
+/// sampled through this path reproduce the pre-CSR streams.
+pub(crate) fn sample_one<B: Adjacency + ?Sized>(
+    backend: &B,
+    node: usize,
+    t: f64,
+    strategy: SamplingStrategy,
+    rng: &mut SeededRng,
+    scratch: &mut SampleScratch,
+) -> Option<NeighborEvent> {
+    let SampleScratch { cum, window } = scratch;
+    let hist = backend.window(node, t, strategy_tail(strategy, 1), window);
+    sample_slice_one(hist, t, strategy, rng, cum)
 }
 
 /// Sorted temporal adjacency over a (prefix of a) temporal graph, in CSR
@@ -276,32 +303,13 @@ impl FrontierHop {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Heap bytes held by this hop's six column arrays (capacities, not
-    /// lengths — this is what the allocator actually handed out).
-    pub fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<usize>()
-            + self.times.capacity() * std::mem::size_of::<f64>()
-            + self.event_idx.capacity() * std::mem::size_of::<usize>()
-            + self.feat_idx.capacity() * std::mem::size_of::<usize>()
-            + self.dts.capacity() * std::mem::size_of::<f32>()
-            + self.mask.capacity() * std::mem::size_of::<bool>()
-    }
 }
 
-/// Result of [`NeighborFinder::sample_frontier`]: one [`FrontierHop`] per
-/// level, hop `l` holding `roots × k^(l+1)` slots.
+/// Result of `sample_frontier`: one [`FrontierHop`] per level, hop `l`
+/// holding `roots × k^(l+1)` slots.
 pub struct Frontier {
     pub k: usize,
     pub hops: Vec<FrontierHop>,
-}
-
-impl Frontier {
-    /// Heap bytes across every hop level (see [`FrontierHop::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.hops.capacity() * std::mem::size_of::<FrontierHop>()
-            + self.hops.iter().map(FrontierHop::heap_bytes).sum::<usize>()
-    }
 }
 
 /// A task-owned window of one hop level's arrays (all six columns split in
@@ -371,25 +379,6 @@ impl NeighborFinder {
         }
     }
 
-    pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total interactions a node participates in.
-    pub fn degree(&self, node: usize) -> usize {
-        self.offsets[node + 1] - self.offsets[node]
-    }
-
-    /// A node's full history, time-sorted.
-    pub fn history(&self, node: usize) -> NeighborSlice<'_> {
-        let (s, e) = (self.offsets[node], self.offsets[node + 1]);
-        NeighborSlice {
-            neighbor: &self.neighbor[s..e],
-            ts: &self.ts[s..e],
-            event_idx: &self.event_idx[s..e],
-        }
-    }
-
     /// All interactions of `node` strictly before `t`, time-sorted.
     #[inline]
     pub fn before(&self, node: usize, t: f64) -> NeighborSlice<'_> {
@@ -402,149 +391,41 @@ impl NeighborFinder {
             event_idx: &self.event_idx[s..s + cut],
         }
     }
-
-    /// The single most recent interaction strictly before `t`.
-    pub fn last_before(&self, node: usize, t: f64) -> Option<NeighborEvent> {
-        self.before(node, t).last()
-    }
-
-    /// Sample up to `k` temporal neighbors of `node` before `t`. Returns
-    /// fewer than `k` (possibly zero) entries when history is short and the
-    /// strategy is `MostRecent`; weighted strategies sample with
-    /// replacement, matching the reference implementations.
-    ///
-    /// Compat shim over [`NeighborFinder::sample_into`]; allocates the
-    /// returned `Vec` (and, for weighted strategies, a scratch). Hot paths
-    /// should hold a [`SampleScratch`] and call `sample_into`/`sample_one`.
-    pub fn sample_before(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-    ) -> Vec<NeighborEvent> {
-        let mut scratch = SampleScratch::new();
-        let mut out = Vec::new();
-        self.sample_into(node, t, k, strategy, rng, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free sampling: clears `out` and fills it with up to `k`
-    /// samples. After warm-up (buffers grown to the largest history/`k`
-    /// seen) this performs zero heap allocations per call; RNG consumption
-    /// is bit-identical to [`NeighborFinder::sample_before`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_into(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut SampleScratch,
-        out: &mut Vec<NeighborEvent>,
-    ) {
-        out.clear();
-        let hist = self.before(node, t);
-        sample_slice_into(hist, t, k, strategy, rng, scratch, out);
-    }
-
-    /// Scalar fast path for walk engines: one sample, no output buffer.
-    /// RNG consumption is bit-identical to `sample_before(.., k=1, ..)`, so
-    /// walks sampled through this path reproduce the pre-CSR streams.
-    pub fn sample_one(
-        &self,
-        node: usize,
-        t: f64,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut SampleScratch,
-    ) -> Option<NeighborEvent> {
-        let hist = self.before(node, t);
-        sample_slice_one(hist, t, strategy, rng, scratch)
-    }
-
-    /// Batched multi-hop frontier expansion: expand every `(roots[i],
-    /// times[i])` root `k`-wide for `hops` levels into flat per-hop arrays.
-    ///
-    /// Each root owns an independent RNG stream seeded by
-    /// [`frontier_stream_seed`]`(seed, root_index)` and is expanded
-    /// depth-complete before the next, so the result depends only on
-    /// `(roots, times, k, hops, strategy, seed)` — never on thread count or
-    /// scheduling. Large batches fan out over the worker pool in contiguous
-    /// root ranges; padded slots (short histories) carry the parent's time
-    /// and a `false` mask, and are themselves expanded at deeper hops
-    /// exactly like the recursive per-node code did.
-    pub fn sample_frontier(
-        &self,
-        roots: &[usize],
-        times: &[f64],
-        k: usize,
-        hops: usize,
-        strategy: SamplingStrategy,
-        seed: u64,
-    ) -> Frontier {
-        expand_frontier(self, roots, times, k, hops, strategy, seed)
-    }
-
-    /// Heap footprint (efficiency accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.capacity() * std::mem::size_of::<usize>()
-            + self.neighbor.capacity() * std::mem::size_of::<u32>()
-            + self.ts.capacity() * std::mem::size_of::<f64>()
-            + self.event_idx.capacity() * std::mem::size_of::<u32>()
-            + self.event_feat.capacity() * std::mem::size_of::<u32>()
-    }
 }
 
-/// The surface a backend exposes to the shared frontier engine: per-root
-/// sampling (identical semantics to `sample_into`) plus the resident
-/// event-idx → edge-feature-row map. `Sync` because root ranges fan out
-/// over the worker pool sharing `&self`.
-pub(crate) trait FrontierBackend: Sync {
-    // Mirrors `sample_into`'s full parameter surface on purpose: the shared
-    // frontier engine forwards every knob verbatim.
-    #[allow(clippy::too_many_arguments)]
-    fn backend_sample_into(
-        &self,
+impl Adjacency for NeighborFinder {
+    #[inline]
+    fn window<'s>(
+        &'s self,
         node: usize,
         t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
-        out: &mut Vec<NeighborEvent>,
-    );
-
-    fn backend_event_feat(&self) -> &[u32];
-}
-
-impl FrontierBackend for NeighborFinder {
-    fn backend_sample_into(
-        &self,
-        node: usize,
-        t: f64,
-        k: usize,
-        strategy: SamplingStrategy,
-        rng: &mut SeededRng,
-        scratch: &mut BackendScratch,
-        out: &mut Vec<NeighborEvent>,
-    ) {
-        self.sample_into(node, t, k, strategy, rng, &mut scratch.sample, out);
+        _tail: Option<usize>,
+        _buf: &'s mut Window,
+    ) -> NeighborSlice<'s> {
+        self.before(node, t)
     }
 
-    fn backend_event_feat(&self) -> &[u32] {
+    fn event_feat(&self) -> &[u32] {
         &self.event_feat
     }
 }
 
-/// Batched multi-hop frontier expansion, generic over the backend. One
-/// code path serves both the resident CSR and the paged store, so the
-/// schedule (per-root RNG streams, depth-complete expansion, lockstep
-/// column splits, pool claims) — and therefore every output bit — cannot
-/// drift between them.
-pub(crate) fn expand_frontier<B: FrontierBackend + ?Sized>(
+/// Batched multi-hop frontier expansion: expand every `(roots[i],
+/// times[i])` root `k`-wide for `hops` levels into flat per-hop arrays.
+///
+/// Each root owns an independent RNG stream seeded by
+/// [`frontier_stream_seed`]`(seed, root_index)` and is expanded
+/// depth-complete before the next, so the result depends only on
+/// `(roots, times, k, hops, strategy, seed)` — never on thread count or
+/// scheduling. Large batches fan out over the worker pool in contiguous
+/// root ranges; padded slots (short histories) carry the parent's time
+/// and a `false` mask, and are themselves expanded at deeper hops
+/// exactly like the recursive per-node code did.
+///
+/// Monomorphised per backend: one code path serves both the resident CSR
+/// and the paged store, so the schedule — and therefore every output bit —
+/// cannot drift between them, and no slot pays a backend dispatch.
+pub(crate) fn expand_frontier<B: Adjacency + ?Sized>(
     backend: &B,
     roots: &[usize],
     times: &[f64],
@@ -655,7 +536,7 @@ pub(crate) fn expand_frontier<B: FrontierBackend + ?Sized>(
 
 /// Expand roots `range` depth-complete, one private RNG stream per root.
 #[allow(clippy::too_many_arguments)]
-fn expand_root_range<B: FrontierBackend + ?Sized>(
+fn expand_root_range<B: Adjacency + ?Sized>(
     backend: &B,
     roots: &[usize],
     times: &[f64],
@@ -665,7 +546,7 @@ fn expand_root_range<B: FrontierBackend + ?Sized>(
     seed: u64,
     view: &mut [HopChunk<'_>],
 ) {
-    let mut scratch = BackendScratch::new();
+    let mut scratch = SampleScratch::new();
     let mut buf: Vec<NeighborEvent> = Vec::with_capacity(k);
     let start = range.start;
     for r in range {
@@ -683,33 +564,42 @@ fn expand_root_range<B: FrontierBackend + ?Sized>(
                     let prev = &done[l - 1];
                     (prev.nodes[slot], prev.times[slot])
                 };
-                backend.backend_sample_into(pn, pt, k, strategy, &mut rng, &mut scratch, &mut buf);
-                write_slots(&buf, backend.backend_event_feat(), pt, k, cur, slot * k);
+                sample_into(
+                    backend,
+                    pn,
+                    pt,
+                    k,
+                    strategy,
+                    &mut rng,
+                    &mut scratch,
+                    &mut buf,
+                );
+                write_slots(&buf, backend.event_feat(), pt, k, cur, slot * k);
             }
             parents *= k;
         }
     }
 }
 
-/// The strategy dispatch of [`NeighborFinder::sample_into`], over an
-/// already-cut history window. Both backends funnel through this one
-/// function — the resident path with a borrowed CSR slice, the paged path
-/// with a scratch-materialised copy of the same bytes — so identical
-/// window contents imply identical RNG consumption and identical output
-/// bits. That equality *is* the paged backend's bit-identity argument
+/// The strategy dispatch of [`sample_into`], over an already-cut history
+/// window. Both backends funnel through this one function — the resident
+/// path with a borrowed CSR slice, the paged path with a
+/// scratch-materialised copy of the same bytes — so identical window
+/// contents imply identical RNG consumption and identical output bits.
+/// That equality *is* the paged backend's bit-identity argument
 /// (DESIGN.md §15).
 ///
 /// `hist` must be the full strictly-before-`t` window for the RNG-driven
 /// strategies (draw ranges depend on its length); for `MostRecent` (which
 /// consumes no randomness) a tail of at least `min(k, window_len)`
 /// entries yields the same output.
-pub(crate) fn sample_slice_into(
+fn sample_slice_into(
     hist: NeighborSlice<'_>,
     t: f64,
     k: usize,
     strategy: SamplingStrategy,
     rng: &mut SeededRng,
-    scratch: &mut SampleScratch,
+    cum: &mut Vec<f64>,
     out: &mut Vec<NeighborEvent>,
 ) {
     if hist.is_empty() || k == 0 {
@@ -722,24 +612,24 @@ pub(crate) fn sample_slice_into(
         }
         SamplingStrategy::Uniform => fill_uniform(hist, k, rng, out),
         SamplingStrategy::TemporalExp { alpha } => {
-            let acc = scratch.fill_cum(hist.ts(), |x| (alpha * (x - t)).exp());
-            fill_weighted(hist, &scratch.cum, acc, k, rng, out);
+            let acc = fill_cum(cum, hist.ts(), |x| (alpha * (x - t)).exp());
+            fill_weighted(hist, cum, acc, k, rng, out);
         }
         SamplingStrategy::TemporalSafe => {
-            let acc = scratch.fill_cum(hist.ts(), |x| safe_weight(t, x));
-            fill_weighted(hist, &scratch.cum, acc, k, rng, out);
+            let acc = fill_cum(cum, hist.ts(), |x| safe_weight(t, x));
+            fill_weighted(hist, cum, acc, k, rng, out);
         }
     }
 }
 
 /// Scalar counterpart of [`sample_slice_into`] (k = 1, no output buffer);
 /// same backend-sharing contract.
-pub(crate) fn sample_slice_one(
+fn sample_slice_one(
     hist: NeighborSlice<'_>,
     t: f64,
     strategy: SamplingStrategy,
     rng: &mut SeededRng,
-    scratch: &mut SampleScratch,
+    cum: &mut Vec<f64>,
 ) -> Option<NeighborEvent> {
     if hist.is_empty() {
         return None;
@@ -748,12 +638,12 @@ pub(crate) fn sample_slice_one(
         SamplingStrategy::MostRecent => hist.get(hist.len() - 1),
         SamplingStrategy::Uniform => hist.get(rng.gen_range(0..hist.len())),
         SamplingStrategy::TemporalExp { alpha } => {
-            let acc = scratch.fill_cum(hist.ts(), |x| (alpha * (x - t)).exp());
-            pick_weighted(hist, &scratch.cum, acc, rng)
+            let acc = fill_cum(cum, hist.ts(), |x| (alpha * (x - t)).exp());
+            pick_weighted(hist, cum, acc, rng)
         }
         SamplingStrategy::TemporalSafe => {
-            let acc = scratch.fill_cum(hist.ts(), |x| safe_weight(t, x));
-            pick_weighted(hist, &scratch.cum, acc, rng)
+            let acc = fill_cum(cum, hist.ts(), |x| safe_weight(t, x));
+            pick_weighted(hist, cum, acc, rng)
         }
     })
 }
@@ -858,7 +748,30 @@ fn write_slots(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paged::NeighborBackend;
     use benchtemp_tensor::init::rng;
+
+    /// `k` owned samples through the public sampling surface.
+    fn sample_vec(
+        nf: &NeighborFinder,
+        node: usize,
+        t: f64,
+        k: usize,
+        strategy: SamplingStrategy,
+        rng: &mut SeededRng,
+    ) -> Vec<NeighborEvent> {
+        let mut out = Vec::new();
+        NeighborBackend::Resident(nf).sample_into(
+            node,
+            t,
+            k,
+            strategy,
+            rng,
+            &mut SampleScratch::new(),
+            &mut out,
+        );
+        out
+    }
 
     fn events() -> Vec<Interaction> {
         vec![
@@ -905,7 +818,7 @@ mod tests {
     fn both_directions_indexed() {
         let nf = NeighborFinder::from_events(3, &events());
         // node 2 appears only as dst but must still have history.
-        assert_eq!(nf.degree(2), 2);
+        assert_eq!(nf.before(2, f64::INFINITY).len(), 2);
         assert_eq!(nf.before(2, 10.0).get(0).neighbor, 0);
     }
 
@@ -913,7 +826,7 @@ mod tests {
     fn most_recent_takes_tail() {
         let nf = NeighborFinder::from_events(3, &events());
         let mut r = rng(1);
-        let s = nf.sample_before(0, 10.0, 2, SamplingStrategy::MostRecent, &mut r);
+        let s = sample_vec(&nf, 0, 10.0, 2, SamplingStrategy::MostRecent, &mut r);
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].t, 2.0);
         assert_eq!(s[1].t, 4.0);
@@ -923,7 +836,7 @@ mod tests {
     fn uniform_fills_k_with_replacement() {
         let nf = NeighborFinder::from_events(3, &events());
         let mut r = rng(1);
-        let s = nf.sample_before(0, 10.0, 8, SamplingStrategy::Uniform, &mut r);
+        let s = sample_vec(&nf, 0, 10.0, 8, SamplingStrategy::Uniform, &mut r);
         assert_eq!(s.len(), 8);
         assert!(s.iter().all(|e| e.t < 10.0));
     }
@@ -932,9 +845,7 @@ mod tests {
     fn empty_history_returns_empty() {
         let nf = NeighborFinder::from_events(4, &events());
         let mut r = rng(1);
-        assert!(nf
-            .sample_before(3, 10.0, 4, SamplingStrategy::Uniform, &mut r)
-            .is_empty());
+        assert!(sample_vec(&nf, 3, 10.0, 4, SamplingStrategy::Uniform, &mut r).is_empty());
     }
 
     #[test]
@@ -943,7 +854,8 @@ mod tests {
         // t = 4 nearly always.
         let nf = NeighborFinder::from_events(3, &events());
         let mut r = rng(1);
-        let s = nf.sample_before(
+        let s = sample_vec(
+            &nf,
             0,
             5.0,
             200,
@@ -975,7 +887,8 @@ mod tests {
         ];
         let nf = NeighborFinder::from_events(3, &evs);
         let mut r = rng(1);
-        let s = nf.sample_before(
+        let s = sample_vec(
+            &nf,
             0,
             1.0e9,
             10,
@@ -1007,7 +920,7 @@ mod tests {
         ];
         let nf = NeighborFinder::from_events(3, &evs);
         let mut r = rng(7);
-        let s = nf.sample_before(0, 1.7e308, 400, SamplingStrategy::TemporalSafe, &mut r);
+        let s = sample_vec(&nf, 0, 1.7e308, 400, SamplingStrategy::TemporalSafe, &mut r);
         assert_eq!(s.len(), 400);
         let first = s.iter().filter(|e| e.t == 0.0).count();
         // Uniform fallback: both candidates drawn, neither starved.
@@ -1037,7 +950,7 @@ mod tests {
         ];
         let nf = NeighborFinder::from_events(3, &evs);
         let mut r = rng(1);
-        let s = nf.sample_before(0, 1.0e9, 300, SamplingStrategy::TemporalSafe, &mut r);
+        let s = sample_vec(&nf, 0, 1.0e9, 300, SamplingStrategy::TemporalSafe, &mut r);
         let recent = s.iter().filter(|e| e.t > 0.0).count();
         assert!(
             recent > 250,
@@ -1066,7 +979,7 @@ mod tests {
 
     #[test]
     fn sample_one_matches_k1_stream() {
-        // sample_one must consume the RNG exactly like sample_before(k=1)
+        // sample_one must consume the RNG exactly like sample_into(k=1)
         // so walk engines keep their pre-CSR sampling streams.
         let g = crate::generators::GeneratorConfig::small("k1", 9).generate();
         let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
@@ -1082,8 +995,14 @@ mod tests {
             let mut scratch = SampleScratch::new();
             for node in 0..g.num_nodes.min(30) {
                 for &t in &[0.0, 250.0, 700.0, 1200.0] {
-                    let a = nf.sample_before(node, t, 1, strat, &mut r1);
-                    let b = nf.sample_one(node, t, strat, &mut r2, &mut scratch);
+                    let a = sample_vec(&nf, node, t, 1, strat, &mut r1);
+                    let b = NeighborBackend::Resident(&nf).sample_one(
+                        node,
+                        t,
+                        strat,
+                        &mut r2,
+                        &mut scratch,
+                    );
                     assert_eq!(a.first().copied(), b, "node {node} t {t} {strat:?}");
                 }
             }
@@ -1100,13 +1019,14 @@ mod tests {
         let times: Vec<f64> = (0..40).map(|i| 100.0 + 20.0 * i as f64).collect();
         let k = 5;
         let seed = 0xBEEF;
-        let f = nf.sample_frontier(&roots, &times, k, 1, SamplingStrategy::Uniform, seed);
+        let nb = NeighborBackend::Resident(&nf);
+        let f = nb.sample_frontier(&roots, &times, k, 1, SamplingStrategy::Uniform, seed);
         let hop = &f.hops[0];
         let mut scratch = SampleScratch::new();
         let mut buf = Vec::new();
         for (r, (&node, &t)) in roots.iter().zip(&times).enumerate() {
             let mut rs = SeededRng::seed_from_u64(frontier_stream_seed(seed, r as u64));
-            nf.sample_into(
+            nb.sample_into(
                 node,
                 t,
                 k,
@@ -1143,9 +1063,10 @@ mod tests {
         let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
         let roots: Vec<usize> = (0..25).map(|i| (3 * i) % g.num_nodes).collect();
         let times: Vec<f64> = (0..25).map(|i| 50.0 + 35.0 * i as f64).collect();
-        let a = nf.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
-        let b = nf.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
-        let c = nf.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 2);
+        let nb = NeighborBackend::Resident(&nf);
+        let a = nb.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
+        let b = nb.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 1);
+        let c = nb.sample_frontier(&roots, &times, 4, 2, SamplingStrategy::TemporalSafe, 2);
         for (ha, hb) in a.hops.iter().zip(&b.hops) {
             assert_eq!(ha.nodes, hb.nodes);
             assert_eq!(ha.event_idx, hb.event_idx);

@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_graph::neighbors::{NeighborFinder, SampleScratch, SamplingStrategy};
+use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_tensor::init;
 
 struct CountingAlloc;
@@ -59,6 +60,7 @@ fn sample_paths_are_allocation_free_after_warmup() {
     cfg.num_edges = 4000;
     let g = cfg.generate();
     let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
+    let nb = NeighborBackend::Resident(&nf);
     let queries: Vec<(usize, f64)> = (0..200)
         .map(|i| (i % g.num_nodes, 10.0 + 7.0 * i as f64))
         .collect();
@@ -73,9 +75,9 @@ fn sample_paths_are_allocation_free_after_warmup() {
         let mut picked = 0usize;
         for &(node, t) in &queries {
             for strategy in STRATEGIES {
-                nf.sample_into(node, t, k, strategy, rng, scratch, out);
+                nb.sample_into(node, t, k, strategy, rng, scratch, out);
                 picked += out.len();
-                if nf.sample_one(node, t, strategy, rng, scratch).is_some() {
+                if nb.sample_one(node, t, strategy, rng, scratch).is_some() {
                     picked += 1;
                 }
             }

@@ -207,17 +207,6 @@ impl NeighborBatch {
             k,
         }
     }
-
-    /// Times per (node,time) pair of the sampled events (for recursion).
-    pub fn event_times(&self, times: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.ids.len());
-        for (i, &t) in times.iter().enumerate() {
-            for j in 0..self.k {
-                out.push(t - self.dts[i * self.k + j] as f64);
-            }
-        }
-        out
-    }
 }
 
 /// Batch views used by every model: source, destination and negative

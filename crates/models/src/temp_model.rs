@@ -17,7 +17,7 @@
 
 use benchtemp_core::efficiency::stage;
 use benchtemp_core::pipeline::{Anatomy, StreamContext, TgnnModel};
-use benchtemp_graph::neighbors::HistoryScratch;
+use benchtemp_graph::neighbors::SampleScratch;
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_obs as obs;
 use benchtemp_tensor::nn::{GruCell, Linear, MergeLayer, TimeEncode};
@@ -93,7 +93,7 @@ impl Temp {
         ctx: &StreamContext,
         node: usize,
         t: f64,
-        scratch: &mut HistoryScratch,
+        scratch: &mut SampleScratch,
     ) -> f64 {
         let hist = ctx.neighbors.before_into(node, t, scratch);
         if hist.is_empty() {
@@ -123,7 +123,7 @@ impl Temp {
         let mut ref_dts = vec![0.0f32; nodes.len()];
         // One window scratch for the whole batch: only the paged backend
         // writes into it, and both `before_into` calls per node refill it.
-        let mut scratch = HistoryScratch::new();
+        let mut scratch = SampleScratch::new();
         for (i, (&node, &t)) in nodes.iter().zip(times).enumerate() {
             let ref_t = self.reference_time(ctx, node, t, &mut scratch);
             ref_dts[i] = (t - ref_t).max(0.0) as f32;
@@ -408,10 +408,10 @@ mod tests {
         let t = 1e9;
         let hist = nf.before(node, t);
         let mean = hist.iter().map(|e| e.t).sum::<f64>() / hist.len() as f64;
-        let mut scratch = HistoryScratch::new();
+        let mut scratch = SampleScratch::new();
         assert!((m.reference_time(&ctx, node, t, &mut scratch) - mean).abs() < 1e-9);
         // No history → the query time itself.
-        let lonely = (0..g.num_nodes).find(|&n| nf.degree(n) == 0);
+        let lonely = (0..g.num_nodes).find(|&n| nf.before(n, f64::INFINITY).is_empty());
         if let Some(n) = lonely {
             assert_eq!(m.reference_time(&ctx, n, 42.0, &mut scratch), 42.0);
         }

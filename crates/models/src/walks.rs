@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use benchtemp_core::pipeline::StreamContext;
-use benchtemp_graph::neighbors::{BackendScratch, SamplingStrategy};
+use benchtemp_graph::neighbors::{SampleScratch, SamplingStrategy};
 use benchtemp_tensor::init::SeededRng;
 
 /// One backward temporal walk of fixed budget `L` steps; dead ends are
@@ -40,10 +40,11 @@ impl TemporalWalk {
     }
 }
 
-/// Sample `m` backward walks of `l` hops from `start` at time `t`.
-///
-/// Convenience wrapper over [`sample_walks_with`] that allocates a fresh
-/// [`BackendScratch`]; hot loops should hold one and call the `_with` form.
+/// Sample `m` backward walks of `l` hops from `start` at time `t`, reusing
+/// the caller's scratch. Each hop goes through the scalar `sample_one` fast
+/// path, so no per-hop `Vec` is allocated and the RNG stream is identical
+/// to a `sample_into(.., k = 1, ..)` loop.
+#[allow(clippy::too_many_arguments)]
 pub fn sample_walks(
     ctx: &StreamContext,
     start: usize,
@@ -52,25 +53,7 @@ pub fn sample_walks(
     l: usize,
     strategy: SamplingStrategy,
     rng: &mut SeededRng,
-) -> Vec<TemporalWalk> {
-    let mut scratch = BackendScratch::new();
-    sample_walks_with(ctx, start, t, m, l, strategy, rng, &mut scratch)
-}
-
-/// Sample `m` backward walks of `l` hops from `start` at time `t`, reusing
-/// the caller's scratch. Each hop goes through the scalar `sample_one` fast
-/// path, so no per-hop `Vec` is allocated and the RNG stream is identical
-/// to the old `sample_before(.., 1, ..)` loop.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_walks_with(
-    ctx: &StreamContext,
-    start: usize,
-    t: f64,
-    m: usize,
-    l: usize,
-    strategy: SamplingStrategy,
-    rng: &mut SeededRng,
-    scratch: &mut BackendScratch,
+    scratch: &mut SampleScratch,
 ) -> Vec<TemporalWalk> {
     (0..m)
         .map(|_| {
@@ -179,6 +162,7 @@ mod tests {
             neighbors: NeighborBackend::Resident(&nf),
         };
         let mut rng = init::rng(1);
+        let mut scratch = SampleScratch::new();
         let start = g.events.last().unwrap().src;
         let walks = sample_walks(
             &ctx,
@@ -188,6 +172,7 @@ mod tests {
             3,
             SamplingStrategy::Uniform,
             &mut rng,
+            &mut scratch,
         );
         assert_eq!(walks.len(), 8);
         for w in &walks {
@@ -210,8 +195,18 @@ mod tests {
             neighbors: NeighborBackend::Resident(&nf),
         };
         let mut rng = init::rng(2);
+        let mut scratch = SampleScratch::new();
         // t=0: no history anywhere → every hop invalid.
-        let walks = sample_walks(&ctx, 0, 0.0, 3, 2, SamplingStrategy::Uniform, &mut rng);
+        let walks = sample_walks(
+            &ctx,
+            0,
+            0.0,
+            3,
+            2,
+            SamplingStrategy::Uniform,
+            &mut rng,
+            &mut scratch,
+        );
         for w in &walks {
             assert!(w.valid.iter().all(|&v| !v));
             assert_eq!(w.valid_hops(), 0);
@@ -226,6 +221,7 @@ mod tests {
             neighbors: NeighborBackend::Resident(&nf),
         };
         let mut rng = init::rng(3);
+        let mut scratch = SampleScratch::new();
         let start = g.events.last().unwrap().src;
         let walks = sample_walks(
             &ctx,
@@ -235,6 +231,7 @@ mod tests {
             2,
             SamplingStrategy::Uniform,
             &mut rng,
+            &mut scratch,
         );
         let counts = position_counts(&walks);
         // The start node is at position 0 of every walk.
@@ -290,6 +287,7 @@ mod tests {
             neighbors: NeighborBackend::Resident(&nf),
         };
         let mut rng = init::rng(4);
+        let mut scratch = SampleScratch::new();
         let mut pos_overlap = 0usize;
         let mut neg_overlap = 0usize;
         let events = &g.events[g.num_events() - 300..];
@@ -302,6 +300,7 @@ mod tests {
                 2,
                 SamplingStrategy::Uniform,
                 &mut rng,
+                &mut scratch,
             );
             let wv = sample_walks(
                 &ctx,
@@ -311,6 +310,7 @@ mod tests {
                 2,
                 SamplingStrategy::Uniform,
                 &mut rng,
+                &mut scratch,
             );
             let cu = position_counts(&wu);
             let cv = position_counts(&wv);
@@ -319,7 +319,16 @@ mod tests {
                 pos_overlap += 1;
             }
             let neg = (ev.dst + 13) % (g.num_nodes - g.num_users) + g.num_users;
-            let wn = sample_walks(&ctx, neg, ev.t, 6, 2, SamplingStrategy::Uniform, &mut rng);
+            let wn = sample_walks(
+                &ctx,
+                neg,
+                ev.t,
+                6,
+                2,
+                SamplingStrategy::Uniform,
+                &mut rng,
+                &mut scratch,
+            );
             let cn = position_counts(&wn);
             if cu.keys().any(|k| cn.contains_key(k)) {
                 neg_overlap += 1;

@@ -127,8 +127,22 @@ fn paged_digest() -> u64 {
     // (a) Frontier bit-identity under eviction pressure.
     let roots: Vec<usize> = g.events.iter().step_by(7).map(|e| e.src).collect();
     let times: Vec<f64> = g.events.iter().step_by(7).map(|e| e.t).collect();
-    let resident_f = nf.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
-    let paged_f = paged.sample_frontier(&roots, &times, 8, 2, SamplingStrategy::TemporalSafe, 55);
+    let resident_f = NeighborBackend::Resident(&nf).sample_frontier(
+        &roots,
+        &times,
+        8,
+        2,
+        SamplingStrategy::TemporalSafe,
+        55,
+    );
+    let paged_f = NeighborBackend::Paged(&paged).sample_frontier(
+        &roots,
+        &times,
+        8,
+        2,
+        SamplingStrategy::TemporalSafe,
+        55,
+    );
     let paged_frontier = frontier_digest(&paged_f);
     assert_eq!(
         frontier_digest(&resident_f),

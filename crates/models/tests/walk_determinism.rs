@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use benchtemp_core::pipeline::StreamContext;
 use benchtemp_graph::generators::GeneratorConfig;
-use benchtemp_graph::neighbors::{NeighborFinder, SamplingStrategy};
+use benchtemp_graph::neighbors::{NeighborFinder, SampleScratch, SamplingStrategy};
 use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_models::walks::{anonymize, position_counts, sample_walks};
 use benchtemp_tensor::init;
@@ -30,6 +30,7 @@ fn walk_feature_digest() -> u64 {
         neighbors: NeighborBackend::Resident(&nf),
     };
     let mut rng = init::rng(5);
+    let mut scratch = SampleScratch::new();
     let mut h = Fnv1a::new();
     for ev in &g.events[g.num_events() - 50..] {
         let wu = sample_walks(
@@ -40,6 +41,7 @@ fn walk_feature_digest() -> u64 {
             2,
             SamplingStrategy::Uniform,
             &mut rng,
+            &mut scratch,
         );
         let wv = sample_walks(
             &ctx,
@@ -49,6 +51,7 @@ fn walk_feature_digest() -> u64 {
             2,
             SamplingStrategy::Uniform,
             &mut rng,
+            &mut scratch,
         );
         let cu: BTreeMap<usize, Vec<f32>> = position_counts(&wu);
         let cv = position_counts(&wv);

@@ -73,7 +73,7 @@ impl Gauge {
 
 /// Negative destinations drawn by `EdgeSampler::sample_batch`.
 pub static NEGATIVES_SAMPLED: Counter = Counter::new("negatives_sampled");
-/// Neighbor slots filled by `NeighborFinder::sample_frontier`.
+/// Neighbor slots filled by `NeighborBackend::sample_frontier`.
 pub static FRONTIER_NODES_EXPANDED: Counter = Counter::new("frontier_nodes_expanded");
 /// Nodes pushed onto the autograd tape.
 pub static TAPE_NODES_ALLOCATED: Counter = Counter::new("tape_nodes_allocated");

@@ -180,11 +180,6 @@ impl CachedPager {
     pub fn flush(&self) -> io::Result<()> {
         self.inner.lock().expect("page cache poisoned").flush()
     }
-
-    /// Bytes currently held by cache frames (≤ budget by construction).
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().expect("page cache poisoned").frames.len() * PAGE_SIZE
-    }
 }
 
 #[cfg(test)]
@@ -211,7 +206,7 @@ mod tests {
         // Touching 3× the frame budget must have evicted (and written back
         // dirty victims); every page still reads its own byte.
         assert!(STORE_PAGE_EVICTIONS.get() > before);
-        assert!(cp.resident_bytes() <= MIN_FRAMES * PAGE_SIZE);
+        assert!(cp.inner.lock().unwrap().frames.len() <= MIN_FRAMES);
         for (i, &pg) in pages.iter().enumerate() {
             let v = cp.with_page(pg, |buf| buf[7]).unwrap();
             assert_eq!(v, i as u8, "page {pg} lost its write");

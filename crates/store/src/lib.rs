@@ -238,16 +238,6 @@ impl TemporalStore {
         }
         Ok(())
     }
-
-    /// Bytes held by cache frames right now (bounded by the budget).
-    pub fn cache_resident_bytes(&self) -> usize {
-        self.cp.resident_bytes()
-    }
-
-    /// Bytes of resident index this store keeps in RAM by design.
-    pub fn resident_index_bytes(&self) -> usize {
-        self.offsets.capacity() * 8 + self.event_feat.capacity() * 4
-    }
 }
 
 #[cfg(test)]
