@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "== ci: cargo clippy -D warnings (workspace rules: clippy.toml, DESIGN.md §10) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== ci: rustdoc -D warnings (no stale or ambiguous intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== ci: tier-1 verify =="
 cargo build --release --offline
 cargo test -q --offline --workspace

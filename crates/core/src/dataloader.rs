@@ -129,26 +129,6 @@ impl LinkPredSplit {
         }
     }
 
-    /// The test events for a given setting.
-    pub fn test_for(&self, setting: Setting) -> &[Interaction] {
-        match setting {
-            Setting::Transductive => &self.test,
-            Setting::Inductive => &self.inductive_test,
-            Setting::InductiveNewOld => &self.new_old_test,
-            Setting::InductiveNewNew => &self.new_new_test,
-        }
-    }
-
-    /// The validation events for a given setting.
-    pub fn val_for(&self, setting: Setting) -> &[Interaction] {
-        match setting {
-            Setting::Transductive => &self.val,
-            Setting::Inductive => &self.inductive_val,
-            Setting::InductiveNewOld => &self.new_old_val,
-            Setting::InductiveNewNew => &self.new_new_val,
-        }
-    }
-
     /// Table 6-style statistics.
     pub fn stats(&self, graph: &TemporalGraph) -> SplitStats {
         let count = |evs: &[Interaction]| SetStats {

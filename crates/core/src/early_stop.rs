@@ -39,7 +39,7 @@ impl EarlyStopMonitor {
     /// compare-false-with-everything behavior: before this was made
     /// explicit, an all-NaN run silently exhausted patience while
     /// `best_epoch()`/`best_metric()` still reported epoch 0 / `-inf` as if
-    /// a snapshot existed. Callers should consult [`improved_ever`] before
+    /// a snapshot existed. Callers should consult [`Self::improved_ever`] before
     /// trusting either value.
     pub fn record(&mut self, metric: f64) -> bool {
         let epoch = self.epochs_seen;

@@ -170,9 +170,10 @@ pub struct EfficiencyReport {
     /// platform exposes no `VmHWM` line (anything but Linux), so absence
     /// of the measurement is distinguishable from a 0-byte reading.
     pub peak_rss_bytes: Option<u64>,
-    /// Peak bytes held by the autograd tape's recycled matrix buffers
-    /// (`tape.pool_resident_bytes` gauge, sampled at each epoch-boundary
-    /// trim) — the pooled-allocator slice of the RAM number above.
+    /// Peak bytes in the autograd tape's buffer-pool free lists
+    /// (`tape.pool_resident_bytes` gauge, sampled at each epoch boundary by
+    /// `trim_tape_caches`) — the pooled-allocator slice of the RAM number
+    /// above.
     pub tape_pool_resident_bytes: u64,
     /// Exact model state footprint: parameters + optimizer state + memory
     /// modules + caches (Table 4 "GPU Memory" analogue).

@@ -496,8 +496,7 @@ pub fn train_link_prediction(
         if monitor.should_stop() {
             break;
         }
-        // Epoch boundary: shed tape buffers beyond one batch's observed
-        // demand and record the `tape.pool_resident_bytes` gauge.
+        // Epoch boundary: record the `tape.pool_resident_bytes` gauge.
         benchtemp_tensor::params::trim_tape_caches();
     }
 

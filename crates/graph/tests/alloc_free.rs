@@ -1,6 +1,7 @@
-//! Zero-allocation contract of the CSR sampling fast paths: after warm-up
-//! (scratch and output buffers grown to the largest history / `k` seen),
-//! `sample_into` and `sample_one` must perform no heap allocations at all.
+//! Zero-allocation contract of the sampling fast paths on both backends:
+//! after warm-up (scratch and output buffers grown to the largest history /
+//! `k` seen, and every page of the paged store cached), `sample_into` and
+//! `sample_one` must perform no heap allocations at all.
 //!
 //! Verified with a counting global allocator. This file holds exactly one
 //! test so no sibling test thread can allocate concurrently and pollute the
@@ -11,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_graph::neighbors::{NeighborFinder, SampleScratch, SamplingStrategy};
-use benchtemp_graph::paged::NeighborBackend;
+use benchtemp_graph::paged::{NeighborBackend, PagedNeighborFinder, StoreOptions};
 use benchtemp_tensor::init;
 
 struct CountingAlloc;
@@ -60,16 +61,21 @@ fn sample_paths_are_allocation_free_after_warmup() {
     cfg.num_edges = 4000;
     let g = cfg.generate();
     let nf = NeighborFinder::from_events(g.num_nodes, &g.events);
-    let nb = NeighborBackend::Resident(&nf);
+    // A cache budget that holds the whole store, so the measured sweep
+    // hits only cached pages.
+    let dir = std::env::temp_dir().join(format!("benchtemp-alloc-free-{}", std::process::id()));
+    let opts = StoreOptions {
+        cache_budget_bytes: Some(16 << 20),
+        ..StoreOptions::default()
+    };
+    let pf = PagedNeighborFinder::bulk_load_graph(&dir, &g, &opts).unwrap();
     let queries: Vec<(usize, f64)> = (0..200)
         .map(|i| (i % g.num_nodes, 10.0 + 7.0 * i as f64))
         .collect();
     let k = 8;
 
-    let mut rng = init::rng(3);
-    let mut scratch = SampleScratch::new();
-    let mut out = Vec::new();
-    let sweep = |rng: &mut benchtemp_tensor::init::SeededRng,
+    let sweep = |nb: NeighborBackend<'_>,
+                 rng: &mut benchtemp_tensor::init::SeededRng,
                  scratch: &mut SampleScratch,
                  out: &mut Vec<_>| {
         let mut picked = 0usize;
@@ -85,18 +91,32 @@ fn sample_paths_are_allocation_free_after_warmup() {
         picked
     };
 
-    // Warm-up pass grows the scratch/output buffers to their steady state.
-    let warm = sweep(&mut rng, &mut scratch, &mut out);
-    assert!(warm > 0, "warm-up sampled nothing; workload is degenerate");
+    for (name, nb) in [
+        ("resident", NeighborBackend::Resident(&nf)),
+        ("paged", NeighborBackend::Paged(&pf)),
+    ] {
+        let mut rng = init::rng(3);
+        let mut scratch = SampleScratch::new();
+        let mut out = Vec::new();
+        // Warm-up pass grows the scratch/output buffers to their steady
+        // state (and pages the store in).
+        let warm = sweep(nb, &mut rng, &mut scratch, &mut out);
+        assert!(
+            warm > 0,
+            "{name}: warm-up sampled nothing; workload is degenerate"
+        );
 
-    let before = ALLOC_CALLS.load(Ordering::SeqCst);
-    let measured = sweep(&mut rng, &mut scratch, &mut out);
-    let after = ALLOC_CALLS.load(Ordering::SeqCst);
-    assert!(measured > 0);
-    assert_eq!(
-        after - before,
-        0,
-        "sample_into/sample_one allocated {} times after warm-up",
-        after - before
-    );
+        let before = ALLOC_CALLS.load(Ordering::SeqCst);
+        let measured = sweep(nb, &mut rng, &mut scratch, &mut out);
+        let after = ALLOC_CALLS.load(Ordering::SeqCst);
+        assert!(measured > 0);
+        assert_eq!(
+            after - before,
+            0,
+            "{name}: sample_into/sample_one allocated {} times after warm-up",
+            after - before
+        );
+    }
+    drop(pf);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -93,7 +93,7 @@ pub static SANITIZE_CLAIMS_CHECKED: Counter = Counter::new("sanitize_claims_chec
 /// `TimeEncodeFused`, `MultiHeadGroupedAttention`, and the
 /// `gather_rows_from` leaf).
 pub static FUSED_OPS_EXECUTED: Counter = Counter::new("fused_ops_executed");
-/// Tape forward/backward buffers served from the recycled `BufferPool`.
+/// Tape buffers served from the size-classed `BufferPool`'s free lists.
 pub static TAPE_POOL_HITS: Counter = Counter::new("tape_pool_hits");
 /// Tape buffer requests that fell through to a fresh heap allocation.
 pub static TAPE_POOL_MISSES: Counter = Counter::new("tape_pool_misses");
@@ -122,7 +122,8 @@ pub static PEAK_RSS_BYTES: Gauge = Gauge::new("peak_rss_bytes");
 /// Bytes held by `benchtemp-store` page-cache frames (bounded by the
 /// `BENCHTEMP_PAGE_CACHE_MB` budget; high-water mark).
 pub static STORE_CACHE_RESIDENT_BYTES: Gauge = Gauge::new("store.cache_resident_bytes");
-/// Bytes held by the tape's recycled matrix buffers after the last trim.
+/// Bytes in the tape buffer pool's free lists, sampled at each epoch
+/// boundary (high-water mark).
 pub static TAPE_POOL_RESIDENT_BYTES: Gauge = Gauge::new("tape.pool_resident_bytes");
 
 /// All counters, in a fixed order ([`crate::Recorder`] baselines index into

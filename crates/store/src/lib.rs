@@ -89,22 +89,23 @@ impl Column {
         }
     }
 
-    pub(crate) fn read_bytes(
+    /// Hand `f` the bytes `[off, off + len)` one page span at a time, in
+    /// order, straight from the cached pages. Pages hold whole column
+    /// elements, so a span never splits an element of an aligned read.
+    pub(crate) fn visit_bytes(
         &self,
         cp: &CachedPager,
         mut off: u64,
-        mut out: &mut [u8],
+        len: usize,
+        mut f: impl FnMut(&[u8]),
     ) -> io::Result<()> {
-        debug_assert!(off + out.len() as u64 <= self.len_bytes);
-        while !out.is_empty() {
+        let end = off + len as u64;
+        debug_assert!(end <= self.len_bytes);
+        while off < end {
             let page_idx = (off / PAGE_SIZE as u64) as usize;
             let within = (off % PAGE_SIZE as u64) as usize;
-            let take = (PAGE_SIZE - within).min(out.len());
-            let (head, rest) = out.split_at_mut(take);
-            cp.with_page(self.pages[page_idx], |buf| {
-                head.copy_from_slice(&buf[within..within + take])
-            })?;
-            out = rest;
+            let take = (PAGE_SIZE - within).min((end - off) as usize);
+            cp.with_page(self.pages[page_idx], |buf| f(&buf[within..within + take]))?;
             off += take as u64;
         }
         Ok(())
@@ -199,14 +200,18 @@ impl TemporalStore {
     /// Timestamp of one adjacency entry (element-granular paged read, for
     /// binary searches that must not materialise the window).
     pub fn ts_at(&self, entry: u64) -> io::Result<f64> {
-        let mut b = [0u8; 8];
-        self.cols.ts.read_bytes(&self.cp, entry * 8, &mut b)?;
-        Ok(f64::from_bits(u64::from_le_bytes(b)))
+        let mut t = 0.0;
+        self.cols.ts.visit_bytes(&self.cp, entry * 8, 8, |b| {
+            let b = b.try_into().expect("an aligned entry lies within one page");
+            t = f64::from_bits(u64::from_le_bytes(b));
+        })?;
+        Ok(t)
     }
 
     /// Read adjacency entries `[start, end)` into SoA output vectors
     /// (appended; callers clear). Page-strided: one cache touch per page
-    /// per column, not per element.
+    /// per column, not per element, each decoded straight from the cached
+    /// page, so a read allocates nothing once the outputs have grown.
     pub fn read_adj(
         &self,
         start: u64,
@@ -217,25 +222,21 @@ impl TemporalStore {
     ) -> io::Result<()> {
         debug_assert!(start <= end && end <= self.num_entries());
         let n = (end - start) as usize;
-        let mut bytes = vec![0u8; n.max(1) * 8];
-        // u32 columns.
         for (col, out) in [(&self.cols.nbr, &mut *nbr), (&self.cols.evi, &mut *evi)] {
-            let b = &mut bytes[..n * 4];
-            col.read_bytes(&self.cp, start * 4, b)?;
             out.reserve(n);
-            for chunk in b.chunks_exact(4) {
-                out.push(u32::from_le_bytes(chunk.try_into().unwrap()));
-            }
+            col.visit_bytes(&self.cp, start * 4, n * 4, |b| {
+                out.extend(b.chunks_exact(4).map(|c| {
+                    u32::from_le_bytes(c.try_into().expect("chunks_exact(4) yields 4 bytes"))
+                }));
+            })?;
         }
-        // f64 timestamp column.
-        let b = &mut bytes[..n * 8];
-        self.cols.ts.read_bytes(&self.cp, start * 8, b)?;
         ts.reserve(n);
-        for chunk in b.chunks_exact(8) {
-            ts.push(f64::from_bits(u64::from_le_bytes(
-                chunk.try_into().unwrap(),
-            )));
-        }
+        self.cols.ts.visit_bytes(&self.cp, start * 8, n * 8, |b| {
+            ts.extend(b.chunks_exact(8).map(|c| {
+                let c = c.try_into().expect("chunks_exact(8) yields 8 bytes");
+                f64::from_bits(u64::from_le_bytes(c))
+            }));
+        })?;
         Ok(())
     }
 }

@@ -69,15 +69,6 @@ impl Matrix {
         }
     }
 
-    /// Row vector (1×n) from a slice.
-    pub fn row_vec(values: &[f32]) -> Self {
-        Matrix {
-            rows: 1,
-            cols: values.len(),
-            data: values.to_vec(),
-        }
-    }
-
     /// Identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -188,9 +179,9 @@ impl Matrix {
     /// `self · rhsᵀ` — the input gradient `g·Wᵀ` of every matmul backward.
     ///
     /// Transposes `rhs` once (a k×n scratch matrix; backward only, outside
-    /// the forward zero-allocation contract), then computes [`LANES`]
+    /// the forward zero-allocation contract), then computes `LANES`
     /// output columns at a time with `matmul_transpose_block_kernel`. Each
-    /// entry keeps [`dot`]'s four-accumulator order exactly, so the bits
+    /// entry keeps `dot`'s four-accumulator order exactly, so the bits
     /// match a per-element `dot` loop on every code path. Row-parallel above
     /// [`PAR_FLOPS`].
     pub fn matmul_transpose(&self, rhs: &Matrix) -> Matrix {

@@ -281,7 +281,8 @@ impl MultiHeadAttention {
 
     /// `query` n×query_dim; `keys` (n·group)×key_dim; `mask` row-validity.
     ///
-    /// All heads run inside one fused [`Op::MultiHeadGroupedAttention`] node
+    /// All heads run inside one fused
+    /// [`crate::tape::Tape::multi_head_grouped_attention`] node
     /// reading strided per-head views of the packed Q/K/V projections — no
     /// per-head `slice_cols` copies, per-head attention nodes, or
     /// `concat_cols_many`.

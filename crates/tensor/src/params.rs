@@ -113,7 +113,7 @@ impl ParamStore {
 
 thread_local! {
     /// Recycled tapes: a dropped [`Graph`] parks its tape (reset, with node
-    /// capacity and its matrix buffer pool intact) plus its binding scratch
+    /// capacity and its buffer pool intact) plus its binding scratch
     /// here, and the next `Graph::new` on this thread picks both up.
     /// Per-batch graph construction in the training loops therefore stops
     /// churning the allocator without any call-site changes.
@@ -121,15 +121,18 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Epoch-boundary hook: apply the buffer-pool high-water trim
-/// ([`Tape::trim_pool`]) to every tape parked on this thread's recycle
-/// cache. Tapes parked on *other* threads (pool workers running parallel
-/// eval) keep their buffers until their own threads trim; the training-loop
-/// tape — the one that grows — lives on the caller's thread.
+/// Epoch-boundary hook: sample the `tape.pool_resident_bytes` gauge with
+/// the free-list bytes of every tape parked on this thread's recycle cache.
+/// It trims nothing: a tape's size-classed pool never holds more buffers
+/// per class than one graph holds at once, so it needs no trim. Tapes
+/// parked on *other* threads (pool workers running parallel eval) are not
+/// sampled; the training-loop tape, the largest, lives on the caller's
+/// thread. The name is kept for the e2ebench harness, which times this call
+/// at each epoch boundary.
 pub fn trim_tape_caches() {
     TAPE_CACHE.with(|c| {
-        for (tape, _) in c.borrow_mut().iter_mut() {
-            tape.trim_pool();
+        for (tape, _) in c.borrow().iter() {
+            benchtemp_obs::counters::TAPE_POOL_RESIDENT_BYTES.sample(tape.pool_free_bytes());
         }
     });
 }

@@ -393,11 +393,6 @@ pub fn pool() -> &'static ThreadPool {
     p
 }
 
-/// The thread count of the live pool (for reporting).
-pub fn current_threads() -> usize {
-    pool().threads()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

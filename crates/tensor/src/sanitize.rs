@@ -1,6 +1,6 @@
 //! Runtime sanitizer for the parallel runtime, gated by `BENCHTEMP_SANITIZE=1`.
 //!
-//! The pool's `'static`-erasure safety argument (see [`crate::pool`]) proves
+//! The pool's `'static`-erasure safety argument (see [`mod@crate::pool`]) proves
 //! that borrowed closures cannot outlive a `scope_run` call. It deliberately
 //! does *not* prove that the closures of one batch write disjoint memory —
 //! that part of the contract is upheld by chunk arithmetic at every call

@@ -1,5 +1,5 @@
 //! Zero-allocation contract of the steady-state training forward pass:
-//! once the tape recycle cache and its shape-keyed buffer pool are warm,
+//! once the tape recycle cache and its size-classed buffer pool are warm,
 //! building a [`Graph`], binding parameters, and running a fused
 //! `Linear→ReLU→Linear` forward must perform no heap allocations at all.
 //!
@@ -64,7 +64,7 @@ fn steady_state_forward_is_allocation_free_after_warmup() {
     };
 
     // Warm-up passes grow the tape's node arena, the buffer pool's
-    // per-shape free lists, and the binding scratch to their steady state.
+    // size-class free lists, and the binding scratch to their steady state.
     let mut warm = 0.0f32;
     for _ in 0..5 {
         warm += step(&store, &x);
@@ -164,10 +164,10 @@ fn steady_state_forward_is_allocation_free_after_warmup() {
     );
 
     // The gathered projection's distinct-row count differs from batch to
-    // batch. Its row buffers and index lists are not keyed by shape, so a
-    // count the warm-up never produced must not mint new storage: warm up
-    // on 12 distinct rows of 12 slots, then measure batches with 2, 5 and
-    // 9 distinct rows — a shape-keyed pool would miss on every one.
+    // batch. Its row buffers come from the size-classed pool, so a count
+    // the warm-up never produced must not mint new storage: warm up on 12
+    // distinct rows of 12 slots, then measure batches with 2, 5 and 9
+    // distinct rows — a shape-keyed pool would miss on every one.
     let warm_list: Vec<usize> = (20..32).collect();
     let lists: [Vec<usize>; 3] = [
         vec![7, 7, 7, 3, 3, 7, 7, 3, 3, 3, 7, 7],
@@ -198,6 +198,30 @@ fn steady_state_forward_is_allocation_free_after_warmup() {
         after - before,
         0,
         "steady-state gathered projection allocated {} times after warm-up",
+        after - before
+    );
+
+    // A batch row count no warm-up produced, inside warm size classes: the
+    // 12-row forward above warmed the 128-, 256- and 64-float classes of
+    // its 12×8 input, 12×16 hidden and 12×4 output, and 9, 10 and 11 rows
+    // fall in the same classes. A ragged last batch must not allocate.
+    let ragged: Vec<Matrix> = [9, 10, 11]
+        .iter()
+        .map(|&rows| init::uniform(rows, 8, -1.0, 1.0, &mut rng))
+        .collect();
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    let mut measured_ragged = 0.0f32;
+    for _ in 0..10 {
+        for x in &ragged {
+            measured_ragged += step(&store, x);
+        }
+    }
+    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    assert!(measured_ragged.is_finite());
+    assert_eq!(
+        after - before,
+        0,
+        "a row count inside a warm size class allocated {} times",
         after - before
     );
 }

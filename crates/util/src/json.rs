@@ -21,11 +21,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Build an object from key/value pairs.
-    pub fn obj(pairs: Vec<(impl Into<String>, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
-    }
-
     /// Look up a key in an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
