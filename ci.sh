@@ -28,7 +28,7 @@ cp "$E2E_LOCK" e2ebench/Cargo.lock
 rm -f "$E2E_LOCK"
 [ "$e2e_status" -eq 0 ] || { echo "e2ebench tests failed"; exit 1; }
 
-echo "== ci: overhead smoke bench (tracing + sanitizer; eval AUC/AP bits across 1 thread, 4 threads, 4 threads + sanitize) =="
+echo "== ci: overhead smoke bench (tracing; eval AUC/AP bits across 1 thread, 4 threads, 4 threads + sanitize) =="
 cargo run --release --offline -p benchtemp-bench --bin bench_kernels -- --smoke
 
 echo "== ci: paged store smoke (paged == resident, bounded cache, evictions) =="

@@ -56,7 +56,7 @@ fn bench_tensor() {
         let kv = t.leaf(k.clone());
         let vv = t.leaf(v.clone());
         let out = t.grouped_attention(qv, kv, vv, 10, &mask);
-        let loss = t.mean_all(out);
+        let loss = t.sum_all(out);
         black_box(t.backward(loss, &[qv, kv, vv]))
     });
 }

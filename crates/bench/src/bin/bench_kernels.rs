@@ -1,12 +1,14 @@
-//! Overhead gates for the two runtime switches that ship off:
+//! Overhead gate for the runtime switch that ships off, and the eval
+//! bit-identity check across thread counts and the sanitizer:
 //!
 //! - `tracing` (DESIGN.md §9): a TemporalSafe neighbor-sampling pass in
 //!   batch-size chunks, timed bare, with inert spans (no recorder, no sink
 //!   — the shipping default), under a recorder, and with the JSONL sink
 //!   live;
-//! - `sanitizer` (DESIGN.md §10): an MLP eval pass (batched feature gather,
-//!   parallel matmul forward) on a 4-thread pool with the slot-claim checks
-//!   forced off vs on.
+//! - eval bits: an MLP eval pass (batched feature gather, parallel matmul
+//!   forward) scored in every arm. The sanitizer (DESIGN.md §10) checks
+//!   only the tape, and an eval pass runs no check that costs anything, so
+//!   it is not timed.
 //!
 //! Kernel and pipeline throughput is measured end to end by `e2ebench`
 //! (`BENCHMARK.json`); bit-identity of sampling, gather, ranking, the paged
@@ -17,10 +19,9 @@
 //! (1 thread, 4 threads, 4 threads + sanitize). Every child scores the
 //! eval pass with the sanitizer forced on and asserts no score bit moves;
 //! the parent asserts the eval AUC/AP bits agree across the arms. The
-//! 1-thread child times `tracing` and the 4-thread child `sanitizer`; the
-//! parent copies both sections into the report, prints it and writes it to
-//! `BENCH_kernels.json`; `--smoke` (used by `ci.sh`) prints without writing
-//! the file.
+//! 1-thread child times `tracing`; the parent copies that section into the
+//! report, prints it and writes it to `BENCH_kernels.json`; `--smoke`
+//! (used by `ci.sh`) prints without writing the file.
 
 use benchtemp_bench::{save_json, timing};
 use benchtemp_core::efficiency::stage;
@@ -29,7 +30,6 @@ use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_graph::neighbors::{NeighborEvent, NeighborFinder, SampleScratch, SamplingStrategy};
 use benchtemp_graph::paged::NeighborBackend;
 use benchtemp_obs as obs;
-use benchtemp_obs::counters::SANITIZE_CLAIMS_CHECKED;
 use benchtemp_tensor::nn::Mlp;
 use benchtemp_tensor::{init, kernel_isa, pool, sanitize, Graph, Matrix, ParamStore};
 use benchtemp_util::{child, json, Json};
@@ -92,7 +92,7 @@ impl SamplingWorkload {
     }
 }
 
-/// Sanitizer workload: score every (src, dst) pair through a fixed MLP —
+/// Eval workload: score every (src, dst) pair through a fixed MLP —
 /// the eval hot path: batched feature gather, parallel matmul forward,
 /// sigmoid.
 struct EvalWorkload {
@@ -193,42 +193,13 @@ fn tracing_section() -> Json {
     })
 }
 
-/// The `sanitizer` section: the eval pass with the slot-claim checks forced
-/// off vs on. Timed on a multi-thread pool, the only place the claims are
-/// built and checked; each mode asserts the checks ran exactly when on.
-fn sanitizer_section(w: &EvalWorkload, threads: usize) -> Json {
-    let pass_ns = |on: bool| {
-        sanitize::set_forced(Some(on));
-        let claims0 = SANITIZE_CLAIMS_CHECKED.get();
-        let ns = timing::measure(&mut || std::hint::black_box(w.eval_pass()));
-        assert_eq!(
-            SANITIZE_CLAIMS_CHECKED.get() > claims0,
-            on,
-            "slot claims must be checked exactly when the sanitizer is on"
-        );
-        ns
-    };
-    let off = pass_ns(false);
-    let on = pass_ns(true);
-    sanitize::set_forced(None);
-    json!({
-        "workload": "full eval pass (batched gather + parallel matmul forward)",
-        "threads": threads,
-        "sanitize_off_ns": off,
-        "sanitize_on_ns": on,
-        "on_overhead_ratio": on / off,
-        "scores_bit_identical": true,
-    })
-}
-
 /// Child-process body: the eval metrics as one JSON object, plus the
-/// `tracing` section from the 1-thread arm and the `sanitizer` section from
-/// the plain 4-thread arm.
+/// `tracing` section from the 1-thread arm.
 fn run_child() {
     let w = EvalWorkload::new();
     let (pos, neg) = w.eval_pass();
-    // The checks observe slot claims, never the data: forcing them on must
-    // not change a single score bit.
+    // The checks observe the tape, never the data: forcing them on must not
+    // change a single score bit.
     sanitize::set_forced(Some(true));
     let (pos_s, neg_s) = w.eval_pass();
     sanitize::set_forced(None);
@@ -238,14 +209,11 @@ fn run_child() {
         "sanitize mode must not change a single score bit"
     );
     let (auc, ap) = auc_ap_pos_neg(&pos, &neg);
-    let threads = pool().threads();
-    let tracing = (threads == 1).then(tracing_section);
-    let sanitizer = (threads > 1 && !sanitize::enabled()).then(|| sanitizer_section(&w, threads));
+    let tracing = (pool().threads() == 1).then(tracing_section);
     child::report(json!({
         "auc": format!("{:016x}", auc.to_bits()),
         "ap": format!("{:016x}", ap.to_bits()),
         "tracing": tracing,
-        "sanitizer": sanitizer,
     }));
 }
 
@@ -272,13 +240,11 @@ fn main() {
             .collect();
         child::assert_arms_agree(key, &values);
     }
-    let section = |arm: usize, key: &str| {
-        reports[arm]
-            .get(key)
-            .filter(|s| !s.is_null())
-            .cloned()
-            .unwrap_or_else(|| panic!("arm `{}` reports no `{key}`", child::ARMS[arm].name))
-    };
+    let tracing = reports[0]
+        .get("tracing")
+        .filter(|s| !s.is_null())
+        .cloned()
+        .unwrap_or_else(|| panic!("arm `{}` reports no `tracing`", child::ARMS[0].name));
 
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -288,8 +254,7 @@ fn main() {
     let report = json!({
         "host_cores": host_cores,
         "kernel_isa": kernel_isa(),
-        "tracing": section(0, "tracing"),
-        "sanitizer": section(1, "sanitizer"),
+        "tracing": tracing,
     });
     println!("{}", report.to_string_pretty());
     if !smoke {

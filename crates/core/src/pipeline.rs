@@ -546,18 +546,17 @@ pub fn train_link_prediction(
                 ranking: None,
             }
         };
-        // Dispatch through the pool only when it can actually help: with a
-        // single effective worker (1-core host, or BENCHTEMP_THREADS=1) or a
-        // test stream too small to amortize queue traffic, compute inline —
-        // the per-setting kernel is identical either way, so the metrics are
+        // Dispatch through the pool only when it can actually help: a test
+        // stream too small to amortize queue traffic is computed inline
+        // (`par_map` itself runs inline with one effective worker). The
+        // per-setting kernel is identical either way, so the metrics are
         // bit-identical regardless of which path runs.
         let total_scores: usize = score_sets.iter().map(|(p, n)| p.len() + n.len()).sum();
-        let mut metrics: Vec<SettingMetrics> =
-            if pool().workers() == 1 || total_scores < PAR_EVAL_MIN_SCORES {
-                score_sets.iter().map(setting_metrics).collect()
-            } else {
-                pool().par_map(&score_sets, setting_metrics)
-            };
+        let mut metrics: Vec<SettingMetrics> = if total_scores < PAR_EVAL_MIN_SCORES {
+            score_sets.iter().map(setting_metrics).collect()
+        } else {
+            pool().par_map(&score_sets, setting_metrics)
+        };
         // Ranking metrics: one pessimistic-rank scan per setting over the
         // same query-major candidate scores (sequential — O(n·k) per
         // setting, far below the AUC sort above).

@@ -1,7 +1,8 @@
 //! Thread-count determinism suite: the runtime contract says the same seed
 //! produces bit-identical metrics at any `BENCHTEMP_THREADS` setting, and
-//! arming the sanitizer (`BENCHTEMP_SANITIZE=1`) — which only *checks* slot
-//! claims and tape accounting, never reorders work — changes no bit either.
+//! arming the sanitizer (`BENCHTEMP_SANITIZE=1`) — which only *checks*
+//! gradient finiteness and tape buffer accounting, never reorders work —
+//! changes no bit either.
 //!
 //! The worker trains a small model through the full link-prediction
 //! pipeline (big enough to cross the parallel matmul threshold) and digests

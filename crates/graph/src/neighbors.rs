@@ -496,17 +496,6 @@ pub(crate) fn expand_frontier<B: Adjacency + ?Sized>(
             }
         }
 
-        // Sanitizer claims in root units: task `ti` owns roots
-        // `ti·chunk ..`, and the lockstep column split above maps disjoint
-        // root ranges to disjoint slot memory at every hop.
-        let claims: Vec<benchtemp_tensor::sanitize::SlotClaim> =
-            if benchtemp_tensor::sanitize::enabled() {
-                (0..n_tasks)
-                    .map(|ti| (ti, ti * chunk..((ti + 1) * chunk).min(n)))
-                    .collect()
-            } else {
-                Vec::new()
-            };
         let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = views
             .into_iter()
             .enumerate()
@@ -528,7 +517,7 @@ pub(crate) fn expand_frontier<B: Adjacency + ?Sized>(
                 task
             })
             .collect();
-        p.scope_run_claimed("sample_frontier", &claims, tasks);
+        p.scope_run(tasks);
 
         Frontier { k, hops: levels }
     }

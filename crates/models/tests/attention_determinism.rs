@@ -7,8 +7,8 @@
 //! count, and (b) a fresh process reproduces the exact trajectory. Each
 //! child process trains the same model and digests the per-batch loss bits
 //! and the final eval scores; `benchtemp_util::child` requires 1-thread and
-//! 4-thread children to agree, and `BENCHTEMP_SANITIZE=1` (which activates
-//! the `grouped_attention_rows` slab-claim checking) must not perturb it.
+//! 4-thread children to agree, and `BENCHTEMP_SANITIZE=1` (which arms the
+//! tape's finiteness and buffer-accounting checks) must not perturb it.
 
 use benchtemp_core::pipeline::{StreamContext, TgnnModel};
 use benchtemp_graph::generators::GeneratorConfig;

@@ -31,6 +31,7 @@ struct CountingAlloc;
 
 static CLONE_SIZED_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
+#[expect(unsafe_code, reason = "counting allocator: GlobalAlloc is unsafe")]
 // SAFETY: pure pass-through to `System`, which upholds every GlobalAlloc
 // contract; the only addition is an atomic counter bump, which allocates
 // nothing and cannot unwind.

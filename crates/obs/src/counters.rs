@@ -85,10 +85,6 @@ pub static POOL_TASKS_DISPATCHED: Counter = Counter::new("pool_tasks_dispatched"
 pub static OPTIMIZER_STEPS: Counter = Counter::new("optimizer_steps");
 /// Times the peak-RSS gauge was sampled from /proc.
 pub static PEAK_RSS_SAMPLES: Counter = Counter::new("peak_rss_samples");
-/// Dispatch batches whose chunk-slot claims the sanitizer verified.
-pub static SANITIZE_BATCHES_CHECKED: Counter = Counter::new("sanitize_batches_checked");
-/// Individual chunk-slot claims the sanitizer verified for disjointness.
-pub static SANITIZE_CLAIMS_CHECKED: Counter = Counter::new("sanitize_claims_checked");
 /// Fused tape nodes executed (`LinearAffine`, `GatherLinearAffine`,
 /// `TimeEncodeFused`, `MultiHeadGroupedAttention`, and the
 /// `gather_rows_from` leaf).
@@ -129,7 +125,7 @@ pub static TAPE_POOL_RESIDENT_BYTES: Gauge = Gauge::new("tape.pool_resident_byte
 /// All counters, in a fixed order ([`crate::Recorder`] baselines index into
 /// this slice, so the order is part of the recorder contract).
 pub fn all() -> &'static [&'static Counter] {
-    static ALL: [&Counter; 20] = [
+    static ALL: [&Counter; 18] = [
         &NEGATIVES_SAMPLED,
         &FRONTIER_NODES_EXPANDED,
         &TAPE_NODES_ALLOCATED,
@@ -137,8 +133,6 @@ pub fn all() -> &'static [&'static Counter] {
         &POOL_TASKS_DISPATCHED,
         &OPTIMIZER_STEPS,
         &PEAK_RSS_SAMPLES,
-        &SANITIZE_BATCHES_CHECKED,
-        &SANITIZE_CLAIMS_CHECKED,
         &FUSED_OPS_EXECUTED,
         &TAPE_POOL_HITS,
         &TAPE_POOL_MISSES,

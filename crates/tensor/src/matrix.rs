@@ -420,10 +420,10 @@ impl Matrix {
     /// one memcpy of `len·cols`) or repeated (`idx[i+1] == idx[i]`, copy once
     /// then replicate) — and issues one block move per run. Above
     /// [`PAR_FLOPS`] copied elements, contiguous run groups fan out across
-    /// the worker pool under the claimed-slot protocol; every destination
-    /// element is written by exactly one plain copy regardless of the
-    /// partition, so results are byte-identical to [`Matrix::gather_rows`]
-    /// at any thread count.
+    /// the worker pool, each group into its own `split_at_mut` slab; every
+    /// destination element is written by exactly one plain copy regardless
+    /// of the partition, so results are byte-identical to
+    /// [`Matrix::gather_rows`] at any thread count.
     ///
     /// Returns the coalesced run count — a pure function of `indices`
     /// (computed by one sequential scan, never of the thread partition), so
@@ -474,12 +474,10 @@ impl Matrix {
         // `rows_per` rows each; runs never straddle a slab boundary, so each
         // block copy stays a single contiguous move.
         let rows_per = indices.len().div_ceil(p.threads()).max(1);
-        let mut claims: Vec<crate::sanitize::SlotClaim> = Vec::new();
         let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
         let mut rest: &mut [f32] = &mut out.data;
         let mut run_at = 0;
         let mut base_row = 0;
-        let mut c = 0;
         while run_at < runs.len() {
             let mut rows_here = 0;
             let mut end = run_at;
@@ -491,18 +489,14 @@ impl Matrix {
             rest = tail;
             let group = &runs[run_at..end];
             let first = base_row;
-            if crate::sanitize::enabled() {
-                claims.push((c, first * cols..(first + rows_here) * cols));
-            }
             let src = &self.data;
             tasks.push(Box::new(move || {
                 gather_runs_kernel(src, cols, group, first, block)
             }));
             base_row += rows_here;
             run_at = end;
-            c += 1;
         }
-        p.scope_run_claimed("gather_rows", &claims, tasks);
+        p.scope_run(tasks);
         runs.len() as u64
     }
 
@@ -606,6 +600,7 @@ macro_rules! avx2_dispatch {
         $(#[$attr])*
         fn $name($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
+            #[expect(unsafe_code, reason = "AVX2 copy is called only after run-time detection")]
             if avx2_detected() {
                 #[target_feature(enable = "avx2")]
                 fn avx2($($arg: $ty),*) {
@@ -734,7 +729,7 @@ fn gather_runs_kernel(
 /// Row-parallel fill for the tape's fused kernels: `kernel(i, row)` produces
 /// row `i` of `out` (the row keeps its prior contents, so read-modify-write
 /// epilogues work), fanned across the pool above [`PAR_FLOPS`] `work` units
-/// through the same claimed row partition as the matmul kernels. Each row is
+/// through the same row-slab partition as the matmul kernels. Each row is
 /// written by exactly one kernel call regardless of the partition, so the
 /// thread count cannot change result bits.
 pub(crate) fn fill_rows_par(
@@ -746,49 +741,20 @@ pub(crate) fn fill_rows_par(
     if m == 0 || n == 0 {
         return;
     }
-    run_rows(m, n, work, &mut out.data, kernel);
-}
-
-/// Run `kernel(row_index, out_row)` over every `n`-wide row of `out`,
-/// fanning contiguous row blocks across the pool when `work` (total flops)
-/// crosses [`PAR_FLOPS`]. The kernel sees exactly the same `(i, row)` pairs
-/// on every path, so parallelism cannot change the result bits.
-fn run_rows<F>(m: usize, n: usize, work: usize, out: &mut [f32], kernel: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    debug_assert_eq!(out.len(), m * n);
-    let p = crate::pool::pool();
-    if work < PAR_FLOPS || p.threads() == 1 || m == 1 {
-        for (i, row) in out.chunks_mut(n).enumerate() {
-            kernel(i, row);
+    run_row_blocks(m, n, work, &mut out.data, |first, block| {
+        for (r, row) in block.chunks_mut(n).enumerate() {
+            kernel(first + r, row);
         }
-        return;
-    }
-    let rows_per = m.div_ceil(p.threads()).max(1);
-    let claims = row_block_claims(m, n, rows_per);
-    let kernel = &kernel;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .chunks_mut(rows_per * n)
-        .enumerate()
-        .map(|(c, block)| {
-            let start = c * rows_per;
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                for (r, row) in block.chunks_mut(n).enumerate() {
-                    kernel(start + r, row);
-                }
-            });
-            task
-        })
-        .collect();
-    p.scope_run_claimed("matmul_rows", &claims, tasks);
+    });
 }
 
-/// Like [`run_rows`], but hands each worker its whole contiguous row slab
-/// (`(first_row, rows × n slice)`) so the kernel can share work across
-/// rows (e.g. one B sweep per row quad). The kernel must keep each row's
-/// FP order independent of the slab shape — thread partitioning decides
-/// where slabs start, and results must not depend on the thread count.
+/// Run `kernel(first_row, slab)` over contiguous `n`-wide row slabs of
+/// `out` — the whole matrix inline, or one slab per pool task when `work`
+/// (total flops) crosses [`PAR_FLOPS`] — so the kernel can share work
+/// across rows (e.g. one B sweep per row quad). The kernel must keep each
+/// row's FP order independent of the slab shape — thread partitioning
+/// decides where slabs start, and results must not depend on the thread
+/// count.
 fn run_row_blocks<F>(m: usize, n: usize, work: usize, out: &mut [f32], kernel: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
@@ -800,7 +766,6 @@ where
         return;
     }
     let rows_per = m.div_ceil(p.threads()).max(1);
-    let claims = row_block_claims(m, n, rows_per);
     let kernel = &kernel;
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
         .chunks_mut(rows_per * n)
@@ -810,21 +775,7 @@ where
             task
         })
         .collect();
-    p.scope_run_claimed("matmul_row_blocks", &claims, tasks);
-}
-
-/// Sanitizer claims for the row-slab split: slab `c` owns the flat element
-/// range of rows `c·rows_per ..` — mirrors the `chunks_mut(rows_per * n)`
-/// partition above. Empty when the sanitizer is off.
-fn row_block_claims(m: usize, n: usize, rows_per: usize) -> Vec<crate::sanitize::SlotClaim> {
-    if !crate::sanitize::enabled() {
-        return Vec::new();
-    }
-    (0..m)
-        .step_by(rows_per.max(1))
-        .enumerate()
-        .map(|(c, start)| (c, start * n..(start + rows_per).min(m) * n))
-        .collect()
+    p.scope_run(tasks);
 }
 
 /// One output row of `A·B`: k tiled in fours, four B rows streamed per pass

@@ -24,6 +24,13 @@
 //! blocks until every submitted closure has finished (a counter + condvar
 //! barrier), so no borrow outlives the call. Panics inside workers are
 //! caught, carried back, and re-raised on the caller thread.
+//!
+//! That argument says nothing about *which* memory the tasks of one batch
+//! write; the type system does. Every dispatch hands each task its own
+//! `&mut` slab from `chunks_mut` / `split_at_mut`, so two tasks writing one
+//! slot do not compile (E0499/E0524), and the workspace lint
+//! `unsafe_code = "deny"` rejects a raw-pointer split anywhere outside
+//! `scope_run` and the AVX2 kernel dispatch.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -161,15 +168,6 @@ impl ThreadPool {
         }
     }
 
-    /// Build a pool with an explicit worker count, bypassing the host-core
-    /// cap — so tests can exercise the real queue machinery (not the inline
-    /// path) even on single-core hosts. Not for production call sites: use
-    /// [`pool`], which sizes itself from `BENCHTEMP_THREADS`.
-    #[doc(hidden)]
-    pub fn with_workers_for_tests(threads: usize, workers: usize) -> Self {
-        Self::with_workers(threads, workers)
-    }
-
     /// Number of worker threads this pool schedules across (≥ 1). Chunk
     /// boundaries are derived from this, never from [`ThreadPool::workers`],
     /// so results stay identical however many workers actually exist.
@@ -183,30 +181,15 @@ impl ThreadPool {
         self.workers.max(1)
     }
 
-    /// [`ThreadPool::scope_run`] with the batch's chunk-slot write claims
-    /// declared up front. With `BENCHTEMP_SANITIZE=1` the claims are checked
-    /// for pairwise disjointness on the calling thread *before* any task is
-    /// dispatched (see [`crate::sanitize`]); otherwise the cost is one
-    /// relaxed atomic load. Callers that split `&mut` slot storage by chunk
-    /// arithmetic should prefer this over raw `scope_run` so the sanitizer
-    /// can see their ranges.
-    pub fn scope_run_claimed<'env>(
-        &self,
-        what: &str,
-        claims: &[crate::sanitize::SlotClaim],
-        tasks: Vec<Box<dyn FnOnce() + Send + 'env>>,
-    ) {
-        if crate::sanitize::enabled() {
-            crate::sanitize::check_slot_claims(what, claims);
-        }
-        self.scope_run(tasks);
-    }
-
     /// Run the given closures, blocking until all complete. Closures may
     /// borrow from the caller's stack. Panics are propagated.
     ///
-    /// This is the only primitive that touches `unsafe`; `par_map` /
-    /// `par_chunks` are built on it.
+    /// One of the two library sites allowed `unsafe` under the workspace's
+    /// `unsafe_code = "deny"`; `par_map` and every row-slab dispatch are
+    /// built on it. Callers split their output with safe `chunks_mut` /
+    /// `split_at_mut`, so the borrow checker proves the tasks write disjoint
+    /// memory.
+    #[expect(unsafe_code, reason = "lifetime erasure; waits for every task")]
     pub fn scope_run<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         if tasks.is_empty() {
             return;
@@ -263,7 +246,6 @@ impl ThreadPool {
         out.resize_with(n, || None);
         {
             let chunk = n.div_ceil(self.threads).max(1);
-            let claims = chunk_claims(n, chunk);
             let f = &f;
             let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
                 .chunks(chunk)
@@ -277,106 +259,12 @@ impl ThreadPool {
                     task
                 })
                 .collect();
-            self.scope_run_claimed("par_map", &claims, tasks);
+            self.scope_run(tasks);
         }
         out.into_iter()
             .map(|v| v.expect("pool task completed"))
             .collect()
     }
-
-    /// Split `items` into fixed-size chunks (`chunk_len` computed from the
-    /// input length only), run `f` on each chunk, and hand the per-chunk
-    /// results to `reduce` **in chunk order**. Deterministic at any thread
-    /// count as long as `f` itself is.
-    pub fn par_chunks<T: Sync, U: Send, F, R>(
-        &self,
-        items: &[T],
-        min_chunk: usize,
-        f: F,
-        mut reduce: R,
-    ) where
-        F: Fn(usize, &[T]) -> U + Sync,
-        R: FnMut(U),
-    {
-        let n = items.len();
-        if n == 0 {
-            return;
-        }
-        let chunk = chunk_len(n, min_chunk);
-        if self.workers() == 1 || n <= chunk {
-            for (i, c) in items.chunks(chunk).enumerate() {
-                reduce(f(i, c));
-            }
-            return;
-        }
-        let n_chunks = n.div_ceil(chunk);
-        let mut results: Vec<Option<U>> = Vec::with_capacity(n_chunks);
-        results.resize_with(n_chunks, || None);
-        {
-            let claims = chunk_claims(n, chunk);
-            let f = &f;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
-                .chunks(chunk)
-                .zip(results.iter_mut())
-                .enumerate()
-                .map(|(i, (src, slot))| {
-                    let task: Box<dyn FnOnce() + Send + '_> =
-                        Box::new(move || *slot = Some(f(i, src)));
-                    task
-                })
-                .collect();
-            self.scope_run_claimed("par_chunks", &claims, tasks);
-        }
-        for r in results {
-            reduce(r.expect("pool task completed"));
-        }
-    }
-
-    /// Partition `0..total` into contiguous index ranges and run `f` on each
-    /// in parallel. Ranges depend only on `total` and the pool size, and `f`
-    /// receives disjoint ranges, so callers can safely split `&mut` data by
-    /// the same arithmetic.
-    pub fn par_ranges<F: Fn(std::ops::Range<usize>) + Sync>(&self, total: usize, f: F) {
-        if total == 0 {
-            return;
-        }
-        if self.workers() == 1 {
-            f(0..total);
-            return;
-        }
-        let chunk = total.div_ceil(self.threads).max(1);
-        let claims = chunk_claims(total, chunk);
-        let f = &f;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..total)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(total);
-                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || f(start..end));
-                task
-            })
-            .collect();
-        self.scope_run_claimed("par_ranges", &claims, tasks);
-    }
-}
-
-/// The slot claims implied by splitting `0..n` into `chunk`-sized pieces —
-/// what `par_map`/`par_chunks`/`par_ranges` declare to the sanitizer. Empty
-/// when the sanitizer is off, so the hot path allocates nothing for it.
-fn chunk_claims(n: usize, chunk: usize) -> Vec<crate::sanitize::SlotClaim> {
-    if !crate::sanitize::enabled() {
-        return Vec::new();
-    }
-    (0..n)
-        .step_by(chunk.max(1))
-        .enumerate()
-        .map(|(i, start)| (i, start..(start + chunk).min(n)))
-        .collect()
-}
-
-/// Fixed chunk length for `n` items: depends only on the input length and
-/// the requested minimum, never on thread count — the determinism contract.
-fn chunk_len(n: usize, min_chunk: usize) -> usize {
-    min_chunk.max(1).min(n.max(1))
 }
 
 static POOL: OnceLock<ThreadPool> = OnceLock::new();
@@ -430,48 +318,10 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_reduces_in_chunk_order() {
-        let items: Vec<usize> = (0..503).collect();
-        for threads in [1, 2, 4] {
-            let p = test_pool(threads);
-            let mut seen = Vec::new();
-            p.par_chunks(
-                &items,
-                64,
-                |i, c| (i, c.iter().sum::<usize>()),
-                |r| seen.push(r),
-            );
-            let idxs: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
-            assert_eq!(idxs, (0..idxs.len()).collect::<Vec<_>>());
-            let total: usize = seen.iter().map(|&(_, s)| s).sum();
-            assert_eq!(total, items.iter().sum::<usize>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_ranges_covers_everything_disjointly() {
-        for threads in [1, 2, 4] {
-            let p = test_pool(threads);
-            let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-            p.par_ranges(100, |r| {
-                for i in r {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_inputs_are_noops() {
         let p = test_pool(4);
         let out: Vec<u8> = p.par_map(&[] as &[u8], |&x| x);
         assert!(out.is_empty());
-        p.par_chunks(&[] as &[u8], 8, |_, _| (), |_| panic!("no chunks expected"));
-        p.par_ranges(0, |_| panic!("no ranges expected"));
     }
 
     #[test]
@@ -490,6 +340,35 @@ mod tests {
         // Pool stays usable after a propagated panic.
         let ok = p.par_map(&items, |&x| x + 1);
         assert_eq!(ok[0], 1);
+    }
+
+    #[test]
+    fn middle_chunk_panic_propagates_with_other_slots_intact() {
+        let p = test_pool(4);
+        let mut slots = [0usize; 4];
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| {
+                let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                    if i == 2 {
+                        panic!("chunk 2 goes down");
+                    }
+                    *slot = i + 1;
+                });
+                task
+            })
+            .collect();
+        let r = std::panic::catch_unwind(AssertUnwindSafe(|| p.scope_run(tasks)));
+        let err = r.expect_err("the middle chunk's panic must re-raise on the caller");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("chunk 2"), "panic payload carried: {msg:?}");
+        // scope_run blocks on the whole batch before re-raising, so every
+        // other chunk's slot write has landed.
+        assert_eq!(slots, [1, 2, 0, 4]);
+        // The pool survives a propagated panic and runs the next batch.
+        let items: Vec<usize> = (0..64).collect();
+        assert_eq!(p.par_map(&items, |&x| x * 2)[63], 126);
     }
 
     #[test]

@@ -54,15 +54,11 @@ enum Op {
     Scale(usize, f32),
     AddScalar(usize),
     MatMul(usize, usize),
-    Transpose(usize),
     Sigmoid(usize),
     Tanh(usize),
     Relu(usize),
-    Exp(usize),
-    Ln(usize),
     Cos(usize),
     SumAll(usize),
-    MeanAll(usize),
     AddRowBroadcast(usize, usize),
     MulColBroadcast(usize, usize),
     ConcatCols(usize, usize),
@@ -141,15 +137,11 @@ impl Op {
             Op::Neg(a)
             | Op::Scale(a, _)
             | Op::AddScalar(a)
-            | Op::Transpose(a)
             | Op::Sigmoid(a)
             | Op::Tanh(a)
             | Op::Relu(a)
-            | Op::Exp(a)
-            | Op::Ln(a)
             | Op::Cos(a)
             | Op::SumAll(a)
-            | Op::MeanAll(a)
             | Op::GatherRows(a, _)
             | Op::SliceCols(a, _, _)
             | Op::SliceRows(a, _, _)
@@ -444,13 +436,6 @@ impl Tape {
         self.push(out, Op::MatMul(a.0, b.0))
     }
 
-    pub fn transpose(&mut self, a: Var) -> Var {
-        let (r, c) = self.shape(a);
-        let mut out = self.alloc_raw(c, r);
-        self.nodes[a.0].value.transpose_into(&mut out);
-        self.push(out, Op::Transpose(a.0))
-    }
-
     pub fn sigmoid(&mut self, a: Var) -> Var {
         let value = self.map_op(a, stable_sigmoid);
         self.push(value, Op::Sigmoid(a.0))
@@ -464,17 +449,6 @@ impl Tape {
     pub fn relu(&mut self, a: Var) -> Var {
         let value = self.map_op(a, |x| x.max(0.0));
         self.push(value, Op::Relu(a.0))
-    }
-
-    pub fn exp(&mut self, a: Var) -> Var {
-        let value = self.map_op(a, f32::exp);
-        self.push(value, Op::Exp(a.0))
-    }
-
-    /// Natural log; inputs are clamped away from zero for stability.
-    pub fn ln(&mut self, a: Var) -> Var {
-        let value = self.map_op(a, |x| x.max(1e-12).ln());
-        self.push(value, Op::Ln(a.0))
     }
 
     pub fn cos(&mut self, a: Var) -> Var {
@@ -508,15 +482,6 @@ impl Tape {
         let mut out = self.alloc_raw(1, 1);
         out.set(0, 0, s);
         self.push(out, Op::SumAll(a.0))
-    }
-
-    /// Mean of all entries → 1×1.
-    pub fn mean_all(&mut self, a: Var) -> Var {
-        let m = &self.nodes[a.0].value;
-        let s = m.sum() / m.len() as f32;
-        let mut out = self.alloc_raw(1, 1);
-        out.set(0, 0, s);
-        self.push(out, Op::MeanAll(a.0))
     }
 
     // ---- broadcasting ----------------------------------------------------
@@ -1124,7 +1089,6 @@ impl Tape {
                 acc.bump(*a, || g.matmul_transpose(&self.nodes[*b].value));
                 acc.bump(*b, || self.nodes[*a].value.transpose_matmul(g));
             }
-            Op::Transpose(a) => acc.bump(*a, || g.transpose()),
             Op::Sigmoid(a) => {
                 acc.bump(*a, || g.zip(&node.value, |gg, y| gg * y * (1.0 - y)));
             }
@@ -1139,22 +1103,12 @@ impl Tape {
                     )
                 });
             }
-            Op::Exp(a) => acc.bump(*a, || g.zip(&node.value, |gg, y| gg * y)),
-            Op::Ln(a) => {
-                acc.bump(*a, || {
-                    g.zip(&self.nodes[*a].value, |gg, x| gg / x.max(1e-12))
-                });
-            }
             Op::Cos(a) => {
                 acc.bump(*a, || g.zip(&self.nodes[*a].value, |gg, x| -gg * x.sin()));
             }
             Op::SumAll(a) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
                 Matrix::full(r, c, g.scalar())
-            }),
-            Op::MeanAll(a) => acc.bump(*a, || {
-                let (r, c) = self.nodes[*a].value.shape();
-                Matrix::full(r, c, g.scalar() / (r * c) as f32)
             }),
             Op::AddRowBroadcast(a, b) => {
                 acc.bump(*a, || g.clone());
@@ -1415,8 +1369,8 @@ impl Tape {
                 let dt_col = dts.as_slice();
                 // gs = -g ⊙ sin(s) with s recomputed in the forward's exact
                 // per-element order — the Cos backward rule applied to the
-                // never-materialized pre-cos matrix. Row-parallel through
-                // the claimed pool partition; one writer per element.
+                // never-materialized pre-cos matrix. Row-parallel over
+                // disjoint row slabs; one writer per element.
                 let mut gs = Matrix::zeros(n, d);
                 crate::matrix::fill_rows_par(&mut gs, 4 * n * d, |r, row| {
                     let dt = dt_col[r];
@@ -1516,9 +1470,9 @@ impl Gradients {
 /// ReLU, y > 0 ⟺ pre-activation > 0, so the output test is bitwise equal to
 /// the unfused pre-activation test; sigmoid and tanh backward already read
 /// the output). `None` for the identity: the incoming gradient passes
-/// through untouched, with no scratch copy. Row-parallel through the
-/// claimed pool partition — each element is written once, so worker count
-/// cannot change bits.
+/// through untouched, with no scratch copy. Row-parallel over disjoint row
+/// slabs — each element is written once, so worker count cannot change
+/// bits.
 fn activation_grad(g: &Matrix, y: &Matrix, act: Activation) -> Option<Matrix> {
     fn rows(g: &Matrix, y: &Matrix, d: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
         let (m, n) = y.shape();
@@ -1588,9 +1542,8 @@ pub(crate) fn stable_sigmoid(x: f32) -> f32 {
 /// blocked-dot scores written into the softmax-weight row segment, in-place
 /// softmax, and the value accumulation into the head's output stripe. Above
 /// [`crate::matrix::PAR_FLOPS`] of work, contiguous row slabs fan out
-/// across the worker pool under the claimed-slot protocol (the combined
-/// claim space covers the output elements and, offset past them, the weight
-/// elements). Each element is written by exactly one kernel call with an
+/// across the worker pool, each task owning the paired `chunks_mut` slabs
+/// of the output and the weights. Each element is written by exactly one kernel call with an
 /// FP order independent of where slab boundaries fall, so the thread count
 /// cannot change result bits.
 #[allow(clippy::too_many_arguments)]
@@ -1635,7 +1588,6 @@ fn run_attention_rows(
         return;
     }
     let rows_per = n.div_ceil(p.threads()).max(1);
-    let claims = attention_row_claims(n, out_w, w_w, rows_per);
     let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
         .as_mut_slice()
         .chunks_mut(rows_per * out_w)
@@ -1661,32 +1613,7 @@ fn run_attention_rows(
             task
         })
         .collect();
-    p.scope_run_claimed("grouped_attention_rows", &claims, tasks);
-}
-
-/// Sanitizer claims for the attention row-slab split. One combined claim
-/// space covers both buffers each slab writes: slab `c` owns the flat
-/// element range of its output rows, plus — offset past the whole output —
-/// the flat element range of its softmax-weight rows. Mirrors the paired
-/// `chunks_mut` partition in [`run_attention_rows`]. Empty when the
-/// sanitizer is off.
-fn attention_row_claims(
-    n: usize,
-    out_w: usize,
-    w_w: usize,
-    rows_per: usize,
-) -> Vec<crate::sanitize::SlotClaim> {
-    if !crate::sanitize::enabled() {
-        return Vec::new();
-    }
-    let w_base = n * out_w;
-    let mut claims = Vec::new();
-    for (c, start) in (0..n).step_by(rows_per.max(1)).enumerate() {
-        let end = (start + rows_per).min(n);
-        claims.push((c, start * out_w..end * out_w));
-        claims.push((c, w_base + start * w_w..w_base + end * w_w));
-    }
-    claims
+    p.scope_run(tasks);
 }
 
 /// One contiguous slab of attention query rows (`first` is the global index
@@ -1820,9 +1747,10 @@ mod sanitize_tests {
     fn backward_rejects_non_finite_gradients() {
         let _serial = forced_on();
         let mut t = Tape::new();
-        // exp(200) overflows f32 → Inf value → Inf gradient on the input.
-        let x = t.leaf(Matrix::full(1, 1, 200.0));
-        let y = t.exp(x);
+        // Two ×1e30 scales: the input's gradient is 1e30·1e30 = Inf.
+        let x = t.leaf(Matrix::full(1, 1, 1e30));
+        let a = t.scale(x, 1e30);
+        let y = t.scale(a, 1e30);
         let loss = t.sum_all(y);
         let r = catch_unwind(AssertUnwindSafe(|| t.backward(loss, &[x])));
         crate::sanitize::set_forced(None);
@@ -1835,12 +1763,12 @@ mod sanitize_tests {
         let mut t = Tape::new();
         // w ≤ 0, so relu blocks the gradient and w's own gradient is a
         // finite 0 — but the intermediate relu node on the path to w gets
-        // g·exp(200) = Inf. That node's gradient is dropped once walked, so
-        // only the check at consumption can see it.
+        // g·(1e30·1e30) = Inf. That node's gradient is dropped once walked,
+        // so only the check at consumption can see it.
         let w = t.leaf(Matrix::full(1, 1, -1.0));
         let r = t.relu(w);
-        let c = t.leaf(Matrix::full(1, 1, 200.0));
-        let e = t.exp(c);
+        let c = t.leaf(Matrix::full(1, 1, 1e30));
+        let e = t.scale(c, 1e30);
         let y = t.mul(r, e);
         let loss = t.sum_all(y);
         let res = catch_unwind(AssertUnwindSafe(|| t.backward(loss, &[w])));
@@ -1857,7 +1785,7 @@ mod sanitize_tests {
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(3, 2, 0.5));
         let y = t.tanh(x);
-        let loss = t.mean_all(y);
+        let loss = t.sum_all(y);
         let grads = t.backward(loss, &[x]);
         assert!(grads.get(x).is_some());
         t.reset();

@@ -195,7 +195,7 @@ fn unreachable_output_computes_nothing() {
     let w = t.leaf(mat(4, 2, 2));
     let unused = t.leaf(mat(4, 2, 3));
     let y = t.matmul(a, w);
-    let loss = t.mean_all(y);
+    let loss = t.sum_all(y);
     let before = MATMUL_FLOPS.get();
     let grads = t.backward(loss, &[unused]);
     assert_eq!(MATMUL_FLOPS.get(), before, "no live node, no matmul");

@@ -32,13 +32,13 @@ const ACTS: [Activation; 4] = [
 ];
 
 /// Binds `leaves` on a fresh tape, builds the output with `build`, and runs
-/// `mean_all` → backward. Returns the output followed by each leaf's
+/// `sum_all` → backward. Returns the output followed by each leaf's
 /// gradient, as bits.
 fn run(leaves: Vec<Matrix>, build: impl FnOnce(&mut Tape, &[Var]) -> Var) -> Vec<Vec<u32>> {
     let mut t = Tape::new();
     let vars: Vec<Var> = leaves.into_iter().map(|m| t.leaf(m)).collect();
     let y = build(&mut t, &vars);
-    let loss = t.mean_all(y);
+    let loss = t.sum_all(y);
     let grads = t.backward(loss, &vars);
     let mut out = vec![bits(t.value(y))];
     out.extend(
@@ -161,8 +161,8 @@ fn gather_linear_affine_reuses_tape_scratch_cleanly() {
 /// 1,575-row, 172-wide edge table, so the projection, the output gather
 /// and the `dW` kernel all cross `PAR_FLOPS`. Asserts fused == pair for
 /// every activation in this process and digests the bits; with the tape
-/// reset after each run, the sanitize arm also checks the grant/absorb
-/// balance.
+/// reset after each run, the sanitize arm also checks that every buffer
+/// the tape handed out came back.
 fn large_gathered_digest() -> u64 {
     let table = mat(1575, 172, 62);
     let idx: Vec<usize> = (0..12_000).map(|i| (i / 3 * 37) % 300 * 5).collect();
@@ -183,7 +183,7 @@ fn large_gathered_digest() -> u64 {
     let w = t.leaf(mat(172, 32, 63));
     let b = t.leaf(mat(1, 32, 64));
     let y = t.gather_linear_affine(&table, &idx, w, b, Activation::Relu);
-    let loss = t.mean_all(y);
+    let loss = t.sum_all(y);
     let _ = t.backward(loss, &[w, b]);
     t.reset();
     h.finish()

@@ -84,12 +84,9 @@ macro_rules! check_unary {
 
 check_unary!(grad_sigmoid, sigmoid, mat(3, 4, 1));
 check_unary!(grad_tanh, tanh, mat(3, 4, 2));
-check_unary!(grad_exp, exp, mat(3, 4, 3));
 check_unary!(grad_cos, cos, mat(3, 4, 4));
 check_unary!(grad_neg, neg, mat(3, 4, 5));
-check_unary!(grad_transpose, transpose, mat(3, 4, 6));
 check_unary!(grad_sum_all, sum_all, mat(3, 4, 8));
-check_unary!(grad_mean_all, mean_all, mat(3, 4, 9));
 
 #[test]
 fn grad_relu_away_from_kink() {
@@ -106,22 +103,6 @@ fn grad_relu_away_from_kink() {
         &|t, ins| {
             let x = t.leaf(ins[0].clone());
             let y = t.relu(x);
-            let loss = weighted_sum(t, y, &mut init::rng(99));
-            (vec![x], loss)
-        },
-        2e-2,
-    );
-}
-
-#[test]
-fn grad_ln_positive_inputs() {
-    let input = init::uniform(3, 4, 0.5, 2.0, &mut init::rng(14));
-    gradcheck(
-        "ln",
-        &[input],
-        &|t, ins| {
-            let x = t.leaf(ins[0].clone());
-            let y = t.ln(x);
             let loss = weighted_sum(t, y, &mut init::rng(99));
             (vec![x], loss)
         },

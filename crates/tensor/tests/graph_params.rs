@@ -61,7 +61,7 @@ fn snapshot_restore_round_trips_through_training() {
         let mut g = Graph::new(&store);
         let x = g.input(init::randn(3, 4, 1.0, &mut rng(step)));
         let y = lin.forward(&mut g, x);
-        let loss = g.mean_all(y);
+        let loss = g.sum_all(y);
         let grads = g.backward(loss);
         adam.step(&mut store, &grads);
     }

@@ -17,6 +17,14 @@
 //! classic "signal outside the predicate update" bug) must deadlock in at
 //! least one schedule, proving the checker can actually see the failures
 //! it claims to rule out.
+//!
+//! The model covers the barrier only. On the real pool, `src/pool.rs`'s
+//! unit test `middle_chunk_panic_propagates_with_other_slots_intact` checks
+//! that a panicking task is re-raised after every other task's write has
+//! landed. Which memory the tasks write is outside the model: each task
+//! owns a `chunks_mut` / `split_at_mut` slab, so the borrow checker proves
+//! the writes disjoint, and `unsafe_code = "deny"` keeps raw-pointer splits
+//! out of the workspace.
 
 use std::collections::BTreeSet;
 
