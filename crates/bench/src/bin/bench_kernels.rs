@@ -149,46 +149,61 @@ impl EvalWorkload {
     }
 }
 
+/// Rounds of the `tracing` section. Each round times one pass of every
+/// variant, so host noise during a round lands on all four alike.
+const TRACING_ROUNDS: usize = 15;
+
 /// The `tracing` section: the sampling pass bare, with inert spans, under a
 /// recorder and with the JSONL sink live. Timed at one thread — the pass
-/// is serial.
+/// is serial. Each round times one pass per variant, rotating which goes
+/// first; a time is the median over rounds and a ratio the median of the
+/// per-round ratios to the bare pass.
 fn tracing_section() -> Json {
     let sw = SamplingWorkload::new();
     let (mut scratch, mut out) = (SampleScratch::new(), Vec::new());
-    let mut sampling_ns = |instrument: bool| {
-        timing::measure(&mut || {
-            std::hint::black_box(sw.chunked_pass(instrument, &mut scratch, &mut out))
-        })
-    };
-    let plain = sampling_ns(false);
-    let inert = sampling_ns(true);
-    // The JSONL sink is timed with the recorder still installed, as in a
-    // traced harness job.
     let rec = obs::Recorder::new();
-    let recorded = rec.install();
-    let recorder = sampling_ns(true);
     let path = std::env::temp_dir().join(format!(
         "benchtemp-kernels-trace-{}.jsonl",
         std::process::id()
     ));
-    obs::trace::set_path(Some(&path));
-    let jsonl = sampling_ns(true);
-    obs::trace::set_path(None);
+    // Variants 0–3: plain, inert spans, recorder, recorder + JSONL sink
+    // (as in a traced harness job).
+    let mut ns: [Vec<f64>; 4] = Default::default();
+    sw.chunked_pass(false, &mut scratch, &mut out); // warm-up
+    for round in 0..TRACING_ROUNDS {
+        for v in (0..4).map(|i| (round + i) % 4) {
+            let _recorded = (v >= 2).then(|| rec.install());
+            if v == 3 {
+                obs::trace::set_path(Some(&path));
+            }
+            ns[v].push(timing::once_ns(|| {
+                sw.chunked_pass(v >= 1, &mut scratch, &mut out)
+            }));
+            if v == 3 {
+                obs::trace::set_path(None);
+            }
+        }
+    }
     let _ = std::fs::remove_file(&path);
-    drop(recorded);
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let time = |v: usize| median(ns[v].clone());
+    let ratio = |v: usize| median(ns[v].iter().zip(&ns[0]).map(|(x, p)| x / p).collect());
     // Targets from the obs acceptance criteria: inert ≈ 1.00x, JSONL
     // tracing ≤ 1.03x.
     json!({
         "workload": "TemporalSafe sampling pass with a dense+sampling span pair per batch",
         "threads": 1,
-        "plain_ns": plain,
-        "inert_span_ns": inert,
-        "recorder_ns": recorder,
-        "jsonl_trace_ns": jsonl,
-        "inert_overhead_ratio": inert / plain,
+        "plain_ns": time(0),
+        "inert_span_ns": time(1),
+        "recorder_ns": time(2),
+        "jsonl_trace_ns": time(3),
+        "inert_overhead_ratio": ratio(1),
         "inert_overhead_target": 1.0,
-        "recorder_overhead_ratio": recorder / plain,
-        "jsonl_trace_overhead_ratio": jsonl / plain,
+        "recorder_overhead_ratio": ratio(2),
+        "jsonl_trace_overhead_ratio": ratio(3),
         "jsonl_trace_overhead_target": 1.03,
     })
 }

@@ -441,6 +441,18 @@ pub mod timing {
         ns
     }
 
+    /// Wall time of one call of `f`, in ns (for callers that interleave
+    /// the samples of several variants themselves).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sample timer whose readings are reported, never computed on"
+    )]
+    pub fn once_ns<T>(f: impl FnOnce() -> T) -> f64 {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        start.elapsed().as_secs_f64() * 1e9
+    }
+
     /// Median ns/iter of `f` without printing.
     #[expect(
         clippy::disallowed_methods,

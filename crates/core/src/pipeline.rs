@@ -152,10 +152,11 @@ pub struct TrainConfig {
     /// runs cost exactly what they did before ranking existed.
     pub rank_negatives: usize,
     /// Opt-in out-of-core adjacency (DESIGN.md §15): when set, the
-    /// trainers bulk-load the train/full event streams into paged stores
-    /// and sample through the byte-budgeted page cache instead of
-    /// resident CSR columns. Scores and losses are bit-identical to the
-    /// resident path; only memory/IO behaviour changes.
+    /// trainers build the train/full CSR adjacency, spill its columns to
+    /// paged stores (the CSR is freed before training) and sample through
+    /// the byte-budgeted page cache instead of resident CSR columns.
+    /// Scores and losses are bit-identical to the resident path; only
+    /// memory/IO behaviour changes.
     pub paged_store: Option<PagedStoreConfig>,
 }
 
@@ -239,7 +240,6 @@ fn job_backends(
             };
             let opts = StoreOptions {
                 cache_budget_bytes: ps.cache_budget_bytes,
-                ..Default::default()
             };
             let train = PagedNeighborFinder::bulk_load(
                 &base.join("train"),

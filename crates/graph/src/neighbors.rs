@@ -236,8 +236,14 @@ pub(crate) fn sample_one<B: Adjacency + ?Sized>(
     sample_slice_one(hist, t, strategy, rng, cum)
 }
 
+/// A [`NeighborFinder`]'s columns `(offsets, neighbor, ts, event_idx,
+/// event_feat)`, moved out by `into_columns`.
+pub(crate) type CsrColumns = (Vec<usize>, Vec<u32>, Vec<f64>, Vec<u32>, Vec<u32>);
+
 /// Sorted temporal adjacency over a (prefix of a) temporal graph, in CSR
-/// layout: node `v`'s history is columns `offsets[v]..offsets[v+1]`.
+/// layout: node `v`'s history is columns `offsets[v]..offsets[v+1]`. The
+/// workspace's one CSR builder: the paged backend writes these same
+/// columns to its store.
 pub struct NeighborFinder {
     offsets: Vec<usize>,
     neighbor: Vec<u32>,
@@ -377,6 +383,17 @@ impl NeighborFinder {
             event_idx,
             event_feat,
         }
+    }
+
+    /// Take the CSR apart, for the paged store to write.
+    pub(crate) fn into_columns(self) -> CsrColumns {
+        (
+            self.offsets,
+            self.neighbor,
+            self.ts,
+            self.event_idx,
+            self.event_feat,
+        )
     }
 
     /// All interactions of `node` strictly before `t`, time-sorted.

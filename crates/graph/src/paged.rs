@@ -6,9 +6,10 @@
 //! Bit-identity with the resident path is by construction, not by luck
 //! (DESIGN.md §15):
 //!
-//! 1. the store's bulk loader sorts stably, so an already-time-sorted
-//!    event stream (every benchtemp dataset) keeps its order and the paged
-//!    event indices equal the resident `NeighborFinder`'s;
+//! 1. the paged columns *are* the resident columns: the bulk load builds
+//!    the CSR with [`NeighborFinder::from_events`] and the store writes
+//!    its `neighbor`, `ts` and `event_idx` to disk unchanged, so every
+//!    window holds the resident entries and event indices;
 //! 2. the paged `Adjacency::window` materialises the *identical*
 //!    strictly-before-`t` window bytes into the caller's [`SampleScratch`];
 //! 3. sampling then runs the one generic `sample_into`/`sample_one` and
@@ -22,7 +23,7 @@
 use std::io;
 use std::path::Path;
 
-use benchtemp_store::{StoreEvent, TemporalStore};
+use benchtemp_store::TemporalStore;
 // Re-exported so samplers can be configured without a direct store
 // dependency.
 pub use benchtemp_store::{default_store_dir, StoreOptions};
@@ -34,21 +35,26 @@ use crate::neighbors::{
 };
 use crate::temporal_graph::{Interaction, TemporalGraph};
 
-/// Convert the graph crate's interaction to the store's plain-old-data
-/// event frame.
-fn to_store_event(ev: &Interaction) -> StoreEvent {
-    debug_assert!(
-        ev.src <= u32::MAX as usize
-            && ev.dst <= u32::MAX as usize
-            && ev.feat_idx <= u32::MAX as usize,
-        "store events are u32-indexed"
-    );
-    StoreEvent {
-        src: ev.src as u32,
-        dst: ev.dst as u32,
-        t: ev.t,
-        feat: ev.feat_idx as u32,
+/// Check that `events` can be paged: every endpoint below `num_nodes`,
+/// timestamps non-decreasing and never NaN (the store keeps arrival
+/// order, so unsorted input would page a different adjacency than the
+/// time-sorted windows the samplers assume).
+fn check_events(num_nodes: usize, events: &[Interaction]) -> io::Result<()> {
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+    let mut prev = f64::NEG_INFINITY;
+    for (i, ev) in events.iter().enumerate() {
+        if ev.src >= num_nodes || ev.dst >= num_nodes {
+            return invalid(format!(
+                "event {i}: endpoint out of range: {}/{} >= {num_nodes}",
+                ev.src, ev.dst
+            ));
+        }
+        if ev.t.is_nan() || ev.t < prev {
+            return invalid(format!("event {i}: timestamp {} follows {prev}", ev.t));
+        }
+        prev = ev.t;
     }
+    Ok(())
 }
 
 /// Temporal adjacency over a paged [`TemporalStore`]: the same windows as
@@ -59,9 +65,12 @@ pub struct PagedNeighborFinder {
 }
 
 impl PagedNeighborFinder {
-    /// Bulk-load the adjacency of `events` into a fresh store at `dir` and
-    /// open a sampler over it. `_edge_features` is ignored: the store
-    /// pages adjacency only, and the edge-feature matrix stays resident in
+    /// Build the resident CSR of `events`, write its adjacency columns to
+    /// a fresh store at `dir` and open a sampler over it. Input with an
+    /// endpoint `>= num_nodes` or a timestamp below its predecessor (or
+    /// NaN) is an `InvalidData` error, returned before anything is
+    /// written. `_edge_features` is ignored: the store pages adjacency
+    /// only, and the edge-feature matrix stays resident in
     /// [`TemporalGraph`], whose `validate` range-checks every `feat_idx`.
     pub fn bulk_load(
         dir: &Path,
@@ -70,8 +79,11 @@ impl PagedNeighborFinder {
         _edge_features: Option<(usize, usize, &[f32])>,
         opts: &StoreOptions,
     ) -> io::Result<Self> {
-        let evs: Vec<StoreEvent> = events.iter().map(to_store_event).collect();
-        let store = TemporalStore::bulk_load(dir, num_nodes, &evs, opts)?;
+        check_events(num_nodes, events)?;
+        let (offsets, neighbor, ts, event_idx, event_feat) =
+            NeighborFinder::from_events(num_nodes, events).into_columns();
+        let store =
+            TemporalStore::write(dir, offsets, &neighbor, &ts, &event_idx, event_feat, opts)?;
         Ok(PagedNeighborFinder { store })
     }
 
@@ -284,7 +296,6 @@ mod tests {
         // Tiny cache budget: force evictions so hits and misses both occur.
         let opts = StoreOptions {
             cache_budget_bytes: Some(64 * 1024),
-            run_events: 64,
         };
         let pf = PagedNeighborFinder::bulk_load(dir, 12, evs, None, &opts).unwrap();
         (nf, pf)
@@ -408,5 +419,30 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn bad_input_is_rejected_before_anything_is_written() {
+        let good = events(200);
+        let mut out_of_range = good.clone();
+        out_of_range[150].dst = 12;
+        let mut unsorted = good.clone();
+        unsorted.swap(40, 120);
+        let mut nan = good.clone();
+        nan[77].t = f64::NAN;
+        for (name, evs) in [
+            ("endpoint", out_of_range),
+            ("unsorted", unsorted),
+            ("nan", nan),
+        ] {
+            let dir = tmpdir(name).join("store");
+            let err =
+                PagedNeighborFinder::bulk_load(&dir, 12, &evs, None, &StoreOptions::default())
+                    .err()
+                    .unwrap_or_else(|| panic!("{name}: bad input was accepted"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(!dir.exists(), "{name}: the failed load wrote {dir:?}");
+            std::fs::remove_dir_all(dir.parent().unwrap()).ok();
+        }
     }
 }

@@ -67,7 +67,6 @@ fn sample_paths_are_allocation_free_after_warmup() {
     let dir = std::env::temp_dir().join(format!("benchtemp-alloc-free-{}", std::process::id()));
     let opts = StoreOptions {
         cache_budget_bytes: Some(16 << 20),
-        ..StoreOptions::default()
     };
     let pf = PagedNeighborFinder::bulk_load_graph(&dir, &g, &opts).unwrap();
     let queries: Vec<(usize, f64)> = (0..200)

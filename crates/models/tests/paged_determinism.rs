@@ -119,7 +119,6 @@ fn paged_digest() -> u64 {
     let _ = std::fs::remove_dir_all(&dir);
     let opts = StoreOptions {
         cache_budget_bytes: Some(CACHE_BUDGET),
-        run_events: 512,
     };
     let paged = PagedNeighborFinder::bulk_load_graph(&dir, &g, &opts).expect("bulk load");
 

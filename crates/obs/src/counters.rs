@@ -110,7 +110,7 @@ pub static STORE_PAGE_HITS: Counter = Counter::new("store.page_hits");
 pub static STORE_PAGE_MISSES: Counter = Counter::new("store.page_misses");
 /// CLOCK victims evicted to stay inside the page-cache byte budget.
 pub static STORE_PAGE_EVICTIONS: Counter = Counter::new("store.page_evictions");
-/// Events folded into CSR pages by the external-sort bulk loader.
+/// Events whose CSR adjacency the store writer spilled to pages.
 pub static STORE_BULK_EVENTS: Counter = Counter::new("store.bulk_events");
 
 /// Peak resident set size observed (bytes).

@@ -1,13 +1,14 @@
 //! CLOCK-style page cache with a byte budget over a [`crate::pager::Pager`].
 //!
-//! Every page touch goes through [`CachedPager::with_page`] /
-//! [`CachedPager::with_page_mut`]: a hit flips the frame's reference bit,
-//! a miss faults the page in (evicting via second-chance CLOCK once the
-//! budget's frame count is reached, writing dirty victims back first).
-//! The cache is the *only* RAM the big columns occupy, so the byte budget
-//! is the store's bounded-memory contract; hits/misses/evictions tick the
-//! `store.*` obs counters and the resident-bytes gauge so training runs
-//! can prove the bound from their profile.
+//! The cache is read-only: the page file is written whole before the
+//! cache opens it. Every page touch goes through
+//! [`CachedPager::with_page`]: a hit flips the frame's reference bit, a
+//! miss faults the page in (evicting via second-chance CLOCK once the
+//! budget's frame count is reached; a victim is dropped, never written
+//! back). The cache is the *only* RAM the big columns occupy, so the byte
+//! budget is the store's bounded-memory contract; hits/misses/evictions
+//! tick the `store.*` obs counters and the resident-bytes gauge so
+//! training runs can prove the bound from their profile.
 //!
 //! Thread safety: one `Mutex` around the whole frame table. The paged
 //! sampler's pool tasks share a `&CachedPager` and take the lock per page
@@ -34,7 +35,7 @@ const MIN_FRAMES: usize = 4;
 /// Process-wide default page-cache budget in bytes, from
 /// `BENCHTEMP_PAGE_CACHE_MB`. Read exactly once per process (the env
 /// registry's read-once rule); per-store overrides go through
-/// [`CachedPager::create`]'s explicit budget argument instead of the
+/// [`CachedPager::open`]'s explicit budget argument instead of the
 /// environment.
 pub fn default_cache_budget() -> usize {
     static BUDGET: OnceLock<usize> = OnceLock::new();
@@ -50,7 +51,6 @@ struct Frame {
     page: PageId,
     data: Box<[u8]>,
     referenced: bool,
-    dirty: bool,
 }
 
 struct Inner {
@@ -76,15 +76,13 @@ impl Inner {
                 page,
                 data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
                 referenced: false,
-                dirty: false,
             });
             STORE_CACHE_RESIDENT_BYTES.sample((self.frames.len() * PAGE_SIZE) as u64);
             fi
         } else {
-            let fi = self.evict_one()?;
+            let fi = self.evict_one();
             self.frames[fi].page = page;
             self.frames[fi].referenced = false;
-            self.frames[fi].dirty = false;
             fi
         };
         // Fault the page in before publishing the mapping.
@@ -95,9 +93,9 @@ impl Inner {
     }
 
     /// Second-chance CLOCK sweep: clear reference bits until a victim with
-    /// `referenced == false` comes under the hand, write it back if dirty,
-    /// and unmap it. Terminates within two sweeps by construction.
-    fn evict_one(&mut self) -> io::Result<usize> {
+    /// `referenced == false` comes under the hand, and unmap it.
+    /// Terminates within two sweeps by construction.
+    fn evict_one(&mut self) -> usize {
         loop {
             let fi = self.hand;
             self.hand = (self.hand + 1) % self.frames.len();
@@ -105,24 +103,10 @@ impl Inner {
                 self.frames[fi].referenced = false;
                 continue;
             }
-            let victim = self.frames[fi].page;
-            if self.frames[fi].dirty {
-                self.pager.write_page(victim, &self.frames[fi].data)?;
-            }
-            self.map.remove(&victim);
+            self.map.remove(&self.frames[fi].page);
             STORE_PAGE_EVICTIONS.incr();
-            return Ok(fi);
+            return fi;
         }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        for frame in &mut self.frames {
-            if frame.dirty {
-                self.pager.write_page(frame.page, &frame.data)?;
-                frame.dirty = false;
-            }
-        }
-        self.pager.sync()
     }
 }
 
@@ -138,12 +122,13 @@ impl CachedPager {
         (bytes / PAGE_SIZE).max(MIN_FRAMES)
     }
 
-    /// Create a fresh page file with the given byte budget (`None` means
-    /// the process-wide `BENCHTEMP_PAGE_CACHE_MB` default).
-    pub fn create(path: &std::path::Path, budget_bytes: Option<usize>) -> io::Result<Self> {
+    /// Open a written page file behind an empty cache with the given byte
+    /// budget (`None` means the process-wide `BENCHTEMP_PAGE_CACHE_MB`
+    /// default).
+    pub fn open(path: &std::path::Path, budget_bytes: Option<usize>) -> io::Result<Self> {
         Ok(CachedPager {
             inner: Mutex::new(Inner {
-                pager: Pager::create(path)?,
+                pager: Pager::open(path)?,
                 frames: Vec::new(),
                 map: HashMap::new(),
                 hand: 0,
@@ -157,28 +142,6 @@ impl CachedPager {
         let mut inner = self.inner.lock().expect("page cache poisoned");
         let fi = inner.frame_for(page)?;
         Ok(f(&inner.frames[fi].data))
-    }
-
-    /// Write access to one page; marks the frame dirty for write-back on
-    /// eviction or [`CachedPager::flush`].
-    pub fn with_page_mut<R>(&self, page: PageId, f: impl FnOnce(&mut [u8]) -> R) -> io::Result<R> {
-        let mut inner = self.inner.lock().expect("page cache poisoned");
-        let fi = inner.frame_for(page)?;
-        inner.frames[fi].dirty = true;
-        Ok(f(&mut inner.frames[fi].data))
-    }
-
-    pub fn alloc(&self) -> PageId {
-        self.inner
-            .lock()
-            .expect("page cache poisoned")
-            .pager
-            .alloc()
-    }
-
-    /// Write back every dirty frame and sync the file.
-    pub fn flush(&self) -> io::Result<()> {
-        self.inner.lock().expect("page cache poisoned").flush()
     }
 }
 
@@ -196,40 +159,25 @@ mod tests {
     #[test]
     fn tiny_budget_evicts_and_preserves_data() {
         let path = tmp("evict");
-        let cp = CachedPager::create(&path, Some(1)).unwrap(); // floor: MIN_FRAMES
+        let num_pages = MIN_FRAMES * 3;
+        // Page i holds the byte i throughout.
+        let bytes: Vec<u8> = (0..num_pages).flat_map(|i| [i as u8; PAGE_SIZE]).collect();
+        std::fs::write(&path, &bytes).unwrap();
+        let cp = CachedPager::open(&path, Some(1)).unwrap(); // floor: MIN_FRAMES
         assert_eq!(cp.inner.lock().unwrap().max_frames, MIN_FRAMES);
-        let pages: Vec<PageId> = (0..(MIN_FRAMES * 3)).map(|_| cp.alloc()).collect();
         let before = STORE_PAGE_EVICTIONS.get();
-        for (i, &pg) in pages.iter().enumerate() {
-            cp.with_page_mut(pg, |buf| buf[7] = i as u8).unwrap();
+        for pass in 0..2 {
+            for i in 0..num_pages {
+                let own = cp
+                    .with_page(i as PageId, |buf| buf.iter().all(|&b| b == i as u8))
+                    .unwrap();
+                assert!(own, "pass {pass}: page {i} read another page's bytes");
+            }
         }
-        // Touching 3× the frame budget must have evicted (and written back
-        // dirty victims); every page still reads its own byte.
+        // Reading 3× the frame budget must have evicted, and stayed inside
+        // the budget.
         assert!(STORE_PAGE_EVICTIONS.get() > before);
         assert!(cp.inner.lock().unwrap().frames.len() <= MIN_FRAMES);
-        for (i, &pg) in pages.iter().enumerate() {
-            let v = cp.with_page(pg, |buf| buf[7]).unwrap();
-            assert_eq!(v, i as u8, "page {pg} lost its write");
-        }
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
-    }
-
-    #[test]
-    fn flush_writes_dirty_pages_to_file() {
-        let path = tmp("flush");
-        let cp = CachedPager::create(&path, Some(1 << 20)).unwrap();
-        let (a, b) = (cp.alloc(), cp.alloc());
-        cp.with_page_mut(b, |buf| buf[0] = 42).unwrap();
-        // Write-back: a dirty frame reaches the file only on flush (or
-        // eviction, which this budget never forces).
-        assert_eq!(std::fs::read(&path).unwrap().len(), 0);
-        cp.flush().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes.len(), 2 * PAGE_SIZE, "page {b} lands at its offset");
-        assert_eq!(bytes[b as usize * PAGE_SIZE], 42);
-        assert!(bytes[a as usize * PAGE_SIZE..b as usize * PAGE_SIZE]
-            .iter()
-            .all(|&x| x == 0));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

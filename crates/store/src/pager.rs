@@ -1,10 +1,12 @@
-//! Raw paged file: fixed-size pages addressed by [`PageId`].
+//! Raw paged file: fixed-size pages addressed by [`PageId`], read whole.
 //!
-//! The pager is deliberately dumb — it reads and writes whole pages at
-//! absolute offsets and hands out page ids in order. Caching, eviction,
-//! and dirty tracking live one layer up in [`crate::cache`].
+//! The pager is deliberately dumb — it opens the page file read-only and
+//! reads whole pages at absolute offsets. The file is written once, by
+//! [`crate::TemporalStore::write`], which lays the columns out one after
+//! another, each padded to a page boundary; caching and eviction live one
+//! layer up in [`crate::cache`].
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
@@ -17,58 +19,25 @@ pub const PAGE_SIZE: usize = 8192;
 /// Index of a page within the store file (byte offset = id × PAGE_SIZE).
 pub type PageId = u64;
 
-/// A page-granular file.
+/// A page-granular, read-only file.
 pub struct Pager {
     file: File,
-    num_pages: u64,
 }
 
 impl Pager {
-    /// Create (truncate) a fresh page file.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(Pager { file, num_pages: 0 })
+    /// Open an existing page file for reading.
+    pub fn open(path: &Path) -> io::Result<Self> {
+        Ok(Pager {
+            file: File::open(path)?,
+        })
     }
 
-    /// Allocate the next page id; the file grows when the page is written.
-    pub fn alloc(&mut self) -> PageId {
-        let id = self.num_pages;
-        self.num_pages += 1;
-        id
-    }
-
-    /// Read one whole page into `buf`. Pages that were allocated but never
-    /// written read back as zeroes (short read past EOF is zero-filled), so
-    /// a fresh column is all-zero without an explicit clear pass.
+    /// Read one whole page into `buf`. The writer pads every column to a
+    /// page boundary, so a page that ends past the end of the file means
+    /// the file was truncated: that is an `UnexpectedEof` error, not zeroes.
     pub fn read_page(&self, id: PageId, buf: &mut [u8]) -> io::Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
-        let off = id * PAGE_SIZE as u64;
-        let mut done = 0usize;
-        while done < PAGE_SIZE {
-            match self.file.read_at(&mut buf[done..], off + done as u64) {
-                Ok(0) => break, // EOF: rest stays zero
-                Ok(n) => done += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        buf[done..].fill(0);
-        Ok(())
-    }
-
-    /// Write one whole page.
-    pub fn write_page(&self, id: PageId, buf: &[u8]) -> io::Result<()> {
-        debug_assert_eq!(buf.len(), PAGE_SIZE);
-        self.file.write_all_at(buf, id * PAGE_SIZE as u64)
-    }
-
-    pub fn sync(&self) -> io::Result<()> {
-        self.file.sync_data()
+        self.file.read_exact_at(buf, id * PAGE_SIZE as u64)
     }
 }
 
@@ -76,30 +45,22 @@ impl Pager {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("benchtemp-pager-{}-{}", name, std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("pages.bin")
-    }
-
     #[test]
-    fn roundtrip_and_zero_fill() {
-        let path = tmp("rt");
-        let mut p = Pager::create(&path).unwrap();
-        let a = p.alloc();
-        let b = p.alloc();
-        assert_eq!((a, b), (0, 1));
-        let mut page = vec![0u8; PAGE_SIZE];
-        page[0] = 0xAB;
-        page[PAGE_SIZE - 1] = 0xCD;
-        p.write_page(b, &page).unwrap();
-        let mut back = vec![0xFFu8; PAGE_SIZE];
-        p.read_page(b, &mut back).unwrap();
-        assert_eq!(back, page);
-        // Page `a` was allocated but never written: reads as zeroes.
-        p.read_page(a, &mut back).unwrap();
-        assert!(back.iter().all(|&x| x == 0));
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    fn reads_whole_pages_and_rejects_a_truncated_one() {
+        let dir = std::env::temp_dir().join(format!("benchtemp-pager-rt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pages.bin");
+        // Two full pages and half of a third.
+        let mut bytes = vec![0u8; 2 * PAGE_SIZE + PAGE_SIZE / 2];
+        bytes[PAGE_SIZE] = 0xAB;
+        bytes[2 * PAGE_SIZE - 1] = 0xCD;
+        std::fs::write(&path, &bytes).unwrap();
+        let p = Pager::open(&path).unwrap();
+        let mut page = vec![0xFFu8; PAGE_SIZE];
+        p.read_page(1, &mut page).unwrap();
+        assert_eq!(page, bytes[PAGE_SIZE..2 * PAGE_SIZE]);
+        let err = p.read_page(2, &mut page).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
