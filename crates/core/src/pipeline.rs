@@ -272,10 +272,13 @@ pub struct SettingMetrics {
 }
 
 impl ToJson for SettingMetrics {
+    /// An empty setting writes `null` for AUC/AP: the evaluator's 0.5/0.0
+    /// over no edges is a placeholder, not a metric.
     fn to_json(&self) -> Json {
+        let scored = |v: f64| (self.n_edges > 0).then_some(v);
         json!({
-            "auc": self.auc,
-            "ap": self.ap,
+            "auc": scored(self.auc),
+            "ap": scored(self.ap),
             "n_edges": self.n_edges,
             "ranking": self.ranking.as_ref(),
         })
@@ -899,4 +902,27 @@ fn argmax(row: &[f32]) -> usize {
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(i, _)| i)
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn setting_json_has_no_metric_without_edges() {
+        let json = |n_edges| {
+            let m = SettingMetrics {
+                auc: 0.75,
+                ap: 0.625,
+                n_edges,
+                ranking: None,
+            };
+            m.to_json()
+        };
+        let (scored, empty) = (json(4), json(0));
+        assert_eq!(scored.get("auc").and_then(Json::as_f64), Some(0.75));
+        assert_eq!(scored.get("ap").and_then(Json::as_f64), Some(0.625));
+        assert!(empty.get("auc").is_some_and(Json::is_null));
+        assert!(empty.get("ap").is_some_and(Json::is_null));
+    }
 }

@@ -145,12 +145,15 @@ pub fn ranking_metrics_flat(
 }
 
 impl benchtemp_util::ToJson for RankingMetrics {
+    /// With no ranked query the MRR and Hits@K are written as `null`;
+    /// `num_queries` and `k_effective` stay.
     fn to_json(&self) -> benchtemp_util::Json {
+        let ranked = |v: f64| (self.num_queries > 0).then_some(v);
         benchtemp_util::json!({
-            "mrr": self.mrr,
-            "hits_at_1": self.hits_at_1,
-            "hits_at_3": self.hits_at_3,
-            "hits_at_10": self.hits_at_10,
+            "mrr": ranked(self.mrr),
+            "hits_at_1": ranked(self.hits_at_1),
+            "hits_at_3": ranked(self.hits_at_3),
+            "hits_at_10": ranked(self.hits_at_10),
             "num_queries": self.num_queries,
             "k_effective": self.k_effective,
         })
@@ -276,6 +279,22 @@ mod tests {
         let m = ranking_metrics(&[], &[]);
         assert_eq!(m.num_queries, 0);
         assert_eq!(m.mrr, 0.0);
+    }
+
+    #[test]
+    fn json_has_no_metric_without_queries() {
+        use benchtemp_util::{Json, ToJson};
+        let (pos, flat) = ([0.9f32], [0.2f32, 0.3]);
+        let empty = ranking_metrics_flat(&pos, &flat, 2, Some(&[false])).to_json();
+        let ranked = ranking_metrics_flat(&pos, &flat, 2, None).to_json();
+        for key in ["mrr", "hits_at_1", "hits_at_3", "hits_at_10"] {
+            assert!(empty.get(key).is_some_and(Json::is_null), "empty {key}");
+            assert_eq!(ranked.get(key).and_then(Json::as_f64), Some(1.0), "{key}");
+        }
+        for (json, n) in [(&empty, 0), (&ranked, 1)] {
+            assert_eq!(json.get("num_queries").and_then(Json::as_usize), Some(n));
+            assert_eq!(json.get("k_effective").and_then(Json::as_usize), Some(2));
+        }
     }
 
     #[test]

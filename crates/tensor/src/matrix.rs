@@ -223,39 +223,7 @@ impl Matrix {
         }
         benchtemp_obs::counters::MATMUL_FLOPS.add(2 * (m * k * n) as u64);
         run_row_blocks(m, n, m * k * n, &mut out.data, |first, block| {
-            transpose_matmul_block_kernel(&self.data, m, first, None, &rhs.data, n, block);
-        });
-        out
-    }
-
-    /// `(self[rows])ᵀ · rhs` without materializing the gathered rows: the
-    /// weight gradient `X_gᵀ·g` of a gathered projection whose distinct
-    /// source rows are `self`. The kernel reads row `rows[r]` of `self`
-    /// wherever [`Matrix::transpose_matmul`] reads row `r` of its left
-    /// operand, in the same order, so the result is bitwise equal to
-    /// `self.gather_rows(rows).transpose_matmul(rhs)`.
-    pub fn transpose_matmul_rows(&self, rows: &[usize], rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            rows.len(),
-            rhs.rows,
-            "transpose_matmul_rows: {} row indices vs {} rhs rows",
-            rows.len(),
-            rhs.rows
-        );
-        if let Some(&bad) = rows.iter().find(|&&r| r >= self.rows) {
-            panic!(
-                "transpose_matmul_rows: index {bad} out of {} rows",
-                self.rows
-            );
-        }
-        let (k, m, n) = (rows.len(), self.cols, rhs.cols);
-        let mut out = Matrix::zeros(m, n);
-        if m == 0 || n == 0 {
-            return out;
-        }
-        benchtemp_obs::counters::MATMUL_FLOPS.add(2 * (m * k * n) as u64);
-        run_row_blocks(m, n, m * k * n, &mut out.data, |first, block| {
-            transpose_matmul_block_kernel(&self.data, m, first, Some(rows), &rhs.data, n, block);
+            transpose_matmul_block_kernel(&self.data, m, first, &rhs.data, n, block);
         });
         out
     }
@@ -944,13 +912,13 @@ fn matmul_block_portable(
         let (o0, rest) = quad.split_at_mut(n);
         let (o1, rest) = rest.split_at_mut(n);
         let (o2, o3) = rest.split_at_mut(n);
-        let a_rows = [
+        let a_quad = [
             &a_data[i * k..(i + 1) * k],
             &a_data[(i + 1) * k..(i + 2) * k],
             &a_data[(i + 2) * k..(i + 3) * k],
             &a_data[(i + 3) * k..(i + 4) * k],
         ];
-        matmul_quad_kernel(&a_rows, b, n, [o0, o1, o2, o3]);
+        matmul_quad_kernel(&a_quad, b, n, [o0, o1, o2, o3]);
         i += 4;
     }
     for row in quads.into_remainder().chunks_mut(n) {
@@ -962,8 +930,7 @@ fn matmul_block_portable(
 /// One slab of `Aᵀ·B` output rows, `first..first + block.len() / n`. `A` is
 /// k×`a_cols` and `B` is k×n, both row-major; output row `i` reads column
 /// `i` of `A`, so the slab's `A` operands for one k are the contiguous
-/// segment `A[k][first..]`. With `a_rows`, the k-th row of `A` is row
-/// `a_rows[k]` of `a` instead (a gathered left operand read in place).
+/// segment `A[k][first..]`.
 ///
 /// k-outer: each k-quad loads four `A` segments and four `B` rows once and
 /// applies [`axpy4_lanes`] to every output row of the slab, which stays
@@ -977,7 +944,6 @@ fn transpose_matmul_block_portable(
     a: &[f32],
     a_cols: usize,
     first: usize,
-    a_rows: Option<&[usize]>,
     b: &[f32],
     n: usize,
     block: &mut [f32],
@@ -985,10 +951,7 @@ fn transpose_matmul_block_portable(
     block.fill(0.0);
     let rows = block.len() / n;
     let k = b.len() / n;
-    let a_seg = |kk: usize| {
-        let at = a_rows.map_or(kk, |ix| ix[kk]) * a_cols + first;
-        &a[at..at + rows]
-    };
+    let a_seg = |kk: usize| &a[kk * a_cols + first..kk * a_cols + first + rows];
     let blocked = n / LANES * LANES;
     let mut kk = 0;
     while kk + 4 <= k {
@@ -1108,13 +1071,7 @@ avx2_dispatch! {
 avx2_dispatch! {
     /// [`transpose_matmul_block_portable`], AVX2 when the CPU has it.
     fn transpose_matmul_block_kernel => transpose_matmul_block_portable(
-        a: &[f32],
-        a_cols: usize,
-        first: usize,
-        a_rows: Option<&[usize]>,
-        b: &[f32],
-        n: usize,
-        block: &mut [f32],
+        a: &[f32], a_cols: usize, first: usize, b: &[f32], n: usize, block: &mut [f32],
     )
 }
 
@@ -1446,21 +1403,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_matmul_rows_matches_gathered_operand_bitwise() {
-        // Repeats, back-jumps and a k % 4 tail; one case crosses PAR_FLOPS.
-        for &(u, m, n, k) in &[(1, 3, 5, 1), (4, 9, 8, 11), (7, 48, 16, 10800)] {
-            let a = pseudo_random(u, m, (u * 31 + k) as u64);
-            let b = pseudo_random(k, n, (n * 7 + k) as u64);
-            let rows: Vec<usize> = (0..k).map(|r| (r * 5 + r / 3) % u).collect();
-            assert_eq!(
-                bits(a.transpose_matmul_rows(&rows, &b).as_slice()),
-                bits(a.gather_rows(&rows).transpose_matmul(&b).as_slice()),
-                "transpose_matmul_rows over {k} rows of a {u}x{m} table"
-            );
-        }
-    }
-
-    #[test]
     fn transpose_matmul_slab_start_cannot_change_bits() {
         // Every thread partition hands the kernel a slab starting at some
         // row `first`; each slab must reproduce the oracle rows exactly.
@@ -1471,15 +1413,7 @@ mod tests {
             let want = transpose_matmul_oracle(&a, &b);
             for &(first, rows) in &[(1, 1), (3, 4), (6, 7), (17, 12), (0, 29)] {
                 let mut block = vec![f32::NAN; rows * n];
-                transpose_matmul_block_kernel(
-                    a.as_slice(),
-                    m,
-                    first,
-                    None,
-                    b.as_slice(),
-                    n,
-                    &mut block,
-                );
+                transpose_matmul_block_kernel(a.as_slice(), m, first, b.as_slice(), n, &mut block);
                 assert_eq!(
                     bits(&block),
                     bits(&want.as_slice()[first * n..(first + rows) * n]),
@@ -1580,22 +1514,8 @@ mod tests {
                     // Aᵀ·B: A k×m, B k×n.
                     let at = awkward(k, m, seed + 2);
                     assert_eq!(
-                        run(
-                            |a, c, f, b, n, o| transpose_matmul_block_kernel(
-                                a, c, f, None, b, n, o
-                            ),
-                            &at,
-                            m,
-                            &b
-                        ),
-                        run(
-                            |a, c, f, b, n, o| transpose_matmul_block_portable(
-                                a, c, f, None, b, n, o
-                            ),
-                            &at,
-                            m,
-                            &b
-                        ),
+                        run(transpose_matmul_block_kernel, &at, m, &b),
+                        run(transpose_matmul_block_portable, &at, m, &b),
                         "transpose_matmul {k}x{m}ᵀ · {k}x{n}"
                     );
                     // A·Bᵀ from the k×n transpose: A m×k.

@@ -55,14 +55,15 @@ impl Linear {
 
     /// `src[indices]·W + b` for rows of an external table (node/edge
     /// features, detached memory): each distinct row is projected once and
-    /// the results are gathered — one tape node, bit-identical to
-    /// `gather_rows_from` followed by [`Linear::forward`] (see
-    /// [`crate::tape::Tape::gather_linear_affine`]).
+    /// the results are gathered — one tape node whose forward equals
+    /// `gather_rows_from` followed by [`Linear::forward`], and whose
+    /// backward sums the gradient over the distinct rows before forming
+    /// `dW` (see [`crate::tape::Tape::gather_linear_affine`]).
     pub fn forward_gathered(&self, g: &mut Graph, src: &Matrix, indices: &[usize]) -> Var {
         debug_assert_eq!(src.cols(), self.in_dim, "Linear: source width");
         let w = g.param(self.w);
         let b = g.param(self.b);
-        g.gather_linear_affine(src, indices, w, b, Activation::None)
+        g.gather_linear_affine(src, indices, w, b)
     }
 }
 

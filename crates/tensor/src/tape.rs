@@ -97,16 +97,15 @@ enum Op {
         b: usize,
         act: Activation,
     },
-    /// Fused `act(src[indices]·w + b)` — see
-    /// [`Tape::gather_linear_affine`]. `rows` holds the distinct source
-    /// rows X_u (a pool buffer) and `inv[r]` is output row `r`'s row of
-    /// X_u (a [`ProjScratch`] list); both are recycled at reset.
+    /// Fused `src[indices]·w + b` — see [`Tape::gather_linear_affine`].
+    /// `rows` holds the distinct source rows X_u (a pool buffer) and
+    /// `inv[r]` is output row `r`'s row of X_u (a [`ProjScratch`] list);
+    /// both are recycled at reset.
     GatherLinearAffine {
         rows: Matrix,
         inv: Vec<usize>,
         w: usize,
         b: usize,
-        act: Activation,
     },
     /// Fused `cos(dt·ω + φ)` — see [`Tape::time_encode_fused`]. The Δt
     /// column is saved (pool-granted, recycled at reset) for the backward
@@ -809,29 +808,25 @@ impl Tape {
         )
     }
 
-    /// Fused `act(src[indices]·w + b)` over rows of an external table (node
-    /// or edge features): each distinct source row is projected once, then
-    /// the projected rows are gathered. Replaces [`Tape::gather_rows_from`]
-    /// → [`Tape::linear_affine`], which projects a row again for every slot
+    /// Fused `src[indices]·w + b` over rows of an external table (node or
+    /// edge features): each distinct source row is projected once, then
+    /// the projected rows are gathered, and the backward runs on the
+    /// distinct rows too. Replaces [`Tape::gather_rows_from`] →
+    /// [`Tape::linear_affine`], which projects a row again for every slot
     /// it fills.
     ///
-    /// Bit-identical to that pair. Forward: the matmul kernel gives every
-    /// row the same per-row FP order wherever the row sits (the determinism
-    /// note on `matmul_row_kernel`), the bias/activation epilogue is per
-    /// element, and gathering is a copy. Backward: `db` and the activation
-    /// derivative are the [`Tape::linear_affine`] rules over the gathered
-    /// output, and `dW = X_gᵀ·gp` runs over all `indices.len()` rows in
-    /// their order, reading row `r` of X_g as X_u row `inv[r]`
-    /// ([`Matrix::transpose_matmul_rows`]). Like the gather leaf, `src`
-    /// gets no gradient.
-    pub fn gather_linear_affine(
-        &mut self,
-        src: &Matrix,
-        indices: &[usize],
-        w: Var,
-        b: Var,
-        act: Activation,
-    ) -> Var {
+    /// Bit-identical to the distinct-first chain `gather_rows_from(src,
+    /// uniq)` → `linear_affine(·, w, b, None)` → `gather_rows(·, inv)`,
+    /// with `uniq` the distinct indices in first-seen order. The forward
+    /// also equals the gather-first pair bit for bit: the matmul kernel
+    /// gives every row the same per-row FP order wherever the row sits
+    /// (the determinism note on `matmul_row_kernel`), the bias epilogue is
+    /// per element, and gathering is a copy. Backward: the output gradient
+    /// is scatter-added into G_u in increasing row order (the
+    /// `gather_rows` rule), then `db = Σ G_u` and `dW = X_uᵀ·G_u` over the
+    /// u distinct rows (the `linear_affine` rules). Like the gather leaf,
+    /// `src` gets no gradient.
+    pub fn gather_linear_affine(&mut self, src: &Matrix, indices: &[usize], w: Var, b: Var) -> Var {
         let (k, n) = self.shape(w);
         assert_eq!(
             src.cols(),
@@ -855,7 +850,7 @@ impl Tape {
             rows.matmul_into(wm, &mut projected);
             let brow = bm.row(0);
             crate::matrix::fill_rows_par(&mut projected, u * n, |_r, row| {
-                bias_act_epilogue(row, brow, act);
+                bias_act_epilogue(row, brow, Activation::None);
             });
         }
         let mut out = self.alloc_raw(indices.len(), n);
@@ -874,7 +869,6 @@ impl Tape {
                 inv,
                 w: w.0,
                 b: b.0,
-                act,
             },
         )
     }
@@ -1175,14 +1169,7 @@ impl Tape {
                 });
             }
             Op::GatherRows(a, indices) => acc.bump(*a, || {
-                let (r, c) = self.nodes[*a].value.shape();
-                let mut dx = Matrix::zeros(r, c);
-                for (gr, &src) in indices.iter().enumerate() {
-                    for (o, &x) in dx.row_mut(src).iter_mut().zip(g.row(gr)) {
-                        *o += x;
-                    }
-                }
-                dx
+                scatter_add_rows(g, indices, self.nodes[*a].value.rows())
             }),
             Op::SliceCols(a, start, _end) => acc.bump(*a, || {
                 let (r, c) = self.nodes[*a].value.shape();
@@ -1345,20 +1332,14 @@ impl Tape {
                 acc.bump(*x, || gp.matmul_transpose(wm));
                 acc.bump(*w, || xm.transpose_matmul(gp));
             }
-            Op::GatherLinearAffine {
-                rows,
-                inv,
-                w,
-                b,
-                act,
-            } => {
-                // The `LinearAffine` rules over the gathered output, with
-                // X_g read in place as X_u[inv[r]]; the source table is not
-                // a tape node, so there is no input gradient.
-                let gp_owned = activation_grad(g, &node.value, *act);
-                let gp: &Matrix = gp_owned.as_ref().unwrap_or(g);
-                acc.bump(*b, || bias_grad(gp));
-                acc.bump(*w, || rows.transpose_matmul_rows(inv, gp));
+            Op::GatherLinearAffine { rows, inv, w, b } => {
+                // The distinct-first chain's backward: the `GatherRows`
+                // scatter-add into G_u, then the `LinearAffine` rules over
+                // the u distinct rows. The source table is not a tape node,
+                // so there is no input gradient.
+                let gu = scatter_add_rows(g, inv, rows.rows());
+                acc.bump(*b, || bias_grad(&gu));
+                acc.bump(*w, || rows.transpose_matmul(&gu));
             }
             Op::TimeEncodeFused { omega, phase, dts } => {
                 let om = &self.nodes[*omega].value;
@@ -1490,6 +1471,18 @@ fn activation_grad(g: &Matrix, y: &Matrix, act: Activation) -> Option<Matrix> {
         Activation::Sigmoid => Some(rows(g, y, |gg, yy| gg * yy * (1.0 - yy))),
         Activation::Tanh => Some(rows(g, y, |gg, yy| gg * (1.0 - yy * yy))),
     }
+}
+
+/// Backward of a row gather: the `rows`×n sum of `g`'s rows by
+/// destination, `out[indices[r]] += g[r]` in increasing `r`.
+fn scatter_add_rows(g: &Matrix, indices: &[usize], rows: usize) -> Matrix {
+    let mut dx = Matrix::zeros(rows, g.cols());
+    for (r, &dst) in indices.iter().enumerate() {
+        for (o, &x) in dx.row_mut(dst).iter_mut().zip(g.row(r)) {
+            *o += x;
+        }
+    }
+    dx
 }
 
 /// Bias gradient of the fused affine ops: the column sums of `gp`, in the
@@ -1810,7 +1803,7 @@ mod pool_tests {
             let b = t.leaf(Matrix::full(1, 16, 0.1));
             let distinct = if graph == 0 { 12 } else { 1 + graph * 7 % 12 };
             let idx: Vec<usize> = (0..24).map(|i| i % distinct * 3).collect();
-            let y = t.gather_linear_affine(&table, &idx, w, b, Activation::Relu);
+            let y = t.gather_linear_affine(&table, &idx, w, b);
             let _ = t.sum_all(y);
             t.reset();
             if graph == 1 {

@@ -5,7 +5,7 @@
 //! tape gradient of each input entry against the central finite difference.
 
 use benchtemp_tensor::init::{self, SeededRng};
-use benchtemp_tensor::tape::{Activation, Var};
+use benchtemp_tensor::tape::Var;
 use benchtemp_tensor::{Matrix, Tape};
 
 /// Builds the scalar loss for a given set of input values.
@@ -189,7 +189,8 @@ fn grad_gather_linear_affine_with_repeats() {
         &move |t, ins| {
             let w = t.leaf(ins[0].clone());
             let b = t.leaf(ins[1].clone());
-            let y = t.gather_linear_affine(&table, &[1, 4, 1, 0, 4, 4], w, b, Activation::Tanh);
+            let p = t.gather_linear_affine(&table, &[1, 4, 1, 0, 4, 4], w, b);
+            let y = t.tanh(p);
             let loss = weighted_sum(t, y, &mut init::rng(99));
             (vec![w, b], loss)
         },
