@@ -51,6 +51,15 @@ for harness in anatomy table2_stats table6_splits fig5_temporal_dist table3_lp t
     "table22_multilabel --scale 0.001" table23_nodes_ablation table25_density \
     table26_negative_sampling; do
     read -r bin extra <<< "$harness"
+    # Arguments give a usage line or a usage error, never a panic.
+    cargo run -q --release --offline -p benchtemp-bench --bin "$bin" -- --help \
+        > "$HARNESS_OUT/$bin.help" 2> /dev/null && grep -q usage "$HARNESS_OUT/$bin.help" \
+        || { echo "harness $bin: --help must exit 0 and print usage"; exit 1; }
+    flag_status=0
+    cargo run -q --release --offline -p benchtemp-bench --bin "$bin" -- --no-such-flag \
+        > /dev/null 2> "$HARNESS_OUT/$bin.flag" || flag_status=$?
+    { [ "$flag_status" -eq 2 ] && ! grep -q panicked "$HARNESS_OUT/$bin.flag"; } \
+        || { echo "harness $bin: an unknown flag must exit 2 without a panic"; exit 1; }
     # shellcheck disable=SC2086 # $extra is deliberately word-split
     cargo run -q --release --offline -p benchtemp-bench --bin "$bin" -- $extra \
         --seeds 1 --epochs 1 --out "$HARNESS_OUT" > "$HARNESS_OUT/$bin.txt" 2> "$HARNESS_OUT/$bin.log" \

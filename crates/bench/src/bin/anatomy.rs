@@ -27,10 +27,7 @@ fn main() {
     .collect();
     let tick = |b: bool| if b { "✓" } else { "" }.to_string();
     let mut rows = Vec::new();
-    for name in zoo::PAPER_MODELS
-        .iter()
-        .chain(["TeMP", "EdgeBank", "SnapshotGNN"].iter())
-    {
+    for name in zoo::PAPER_MODELS.iter().chain(["TeMP", "EdgeBank"].iter()) {
         let model = zoo::build(
             name,
             ModelConfig {

@@ -14,11 +14,8 @@
 //! Prints per-skill tables plus a per-skill zoo ranking, and saves
 //! `diagnostics.json` with the recorded rankings.
 
-use benchtemp_bench::{run_lp_seed_on, save_json, Protocol, TableBuilder};
-use benchtemp_core::evaluator::mean_std;
-use benchtemp_core::sampler::NegativeStrategy;
+use benchtemp_bench::{save_json, save_raw_runs, Protocol, TableBuilder, DIAGNOSTICS};
 use benchtemp_graph::generators::DiagnosticConfig;
-use benchtemp_models::zoo::PAPER_MODELS;
 use benchtemp_util::json;
 
 fn main() {
@@ -29,53 +26,19 @@ fn main() {
         eprintln!("diagnostics: --rank-negs 0 requested; forcing 20");
         protocol.rank_negatives = 20;
     }
-    let models = protocol.select_models(&PAPER_MODELS);
+    let models = (DIAGNOSTICS.models)(&protocol);
     let skills = DiagnosticConfig::suite(protocol.scale, 0);
+    let runs = DIAGNOSTICS.run(&protocol);
 
     let mut mrr = TableBuilder::new();
     let mut hits10 = TableBuilder::new();
     let mut auc = TableBuilder::new();
-    // (skill, model) → per-seed transductive MRR, for the recorded ranking.
-    let mut by_cell: std::collections::HashMap<(String, String), Vec<f64>> = Default::default();
-    let mut raw_runs = Vec::new();
-
-    let total_jobs = models.len() * skills.len() * protocol.seeds;
-    let mut done = 0usize;
-    for base in &skills {
-        // Fresh stream per seed, same skill: the rule is fixed, the partner
-        // tables and event order vary.
-        let graph_of_seed = |seed: u64| {
-            DiagnosticConfig {
-                seed: seed ^ 0xd1a6,
-                ..base.clone()
-            }
-            .generate()
-        };
-        let preset = Protocol {
-            rank_negatives: protocol.k_preset(NegativeStrategy::Random, graph_of_seed),
-            ..protocol.clone()
-        };
-        for model in &models {
-            for seed in 0..protocol.seeds as u64 {
-                let graph = graph_of_seed(seed);
-                let run = run_lp_seed_on(model, &graph, &preset, seed);
-                done += 1;
-                let t = &run.transductive;
-                let r = t.ranking.as_ref().expect("ranking pass disabled");
-                eprintln!(
-                    "[{done}/{total_jobs}] {model} on {}: MRR {:.4}  AUC {:.4}",
-                    base.name, r.mrr, t.auc
-                );
-                mrr.add(&base.name, model, r.mrr);
-                hits10.add(&base.name, model, r.hits_at_10);
-                auc.add(&base.name, model, t.auc);
-                by_cell
-                    .entry((base.name.clone(), model.clone()))
-                    .or_default()
-                    .push(r.mrr);
-                raw_runs.push(run);
-            }
-        }
+    for r in &runs {
+        let t = &r.lp.transductive;
+        let rank = t.ranking.as_ref().expect("ranking pass disabled");
+        mrr.add(&r.preset, &r.model, rank.mrr);
+        hits10.add(&r.preset, &r.model, rank.hits_at_10);
+        auc.add(&r.preset, &r.model, t.auc);
     }
 
     println!(
@@ -99,9 +62,8 @@ fn main() {
         let mut ranked: Vec<(String, f64, f64)> = models
             .iter()
             .filter_map(|m| {
-                let vals = by_cell.get(&(base.name.clone(), m.clone()))?;
-                let (mean, std) = mean_std(vals);
-                Some((m.clone(), mean, std))
+                let cell = mrr.cell(&base.name, m)?;
+                Some((m.clone(), cell.mean, cell.std))
             })
             .collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -130,13 +92,13 @@ fn main() {
         &protocol.out_dir,
         "diagnostics.json",
         &json!({
-            "rank_negatives": protocol.rank_negatives as u64,
-            "seeds": protocol.seeds as u64,
+            "rank_negatives": protocol.rank_negatives,
+            "seeds": protocol.seeds,
             "mrr": mrr.to_entries(),
             "hits_at_10": hits10.to_entries(),
             "auc": auc.to_entries(),
             "skills": skill_reports,
         }),
     );
-    save_json(&protocol.out_dir, "diagnostics_raw_runs.json", &raw_runs);
+    save_raw_runs(&protocol.out_dir, "diagnostics_raw_runs.json", &runs);
 }

@@ -3,31 +3,17 @@
 //! tiers): Accuracy and support-weighted Precision / Recall / F1
 //! (Appendix G formulas).
 
-use benchtemp_bench::{run_nc_seed_on, save_json, Protocol, TableBuilder};
-use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_models::zoo::PAPER_MODELS;
+use benchtemp_bench::{save_json, Protocol, TableBuilder, TABLE22_MULTILABEL};
 
 fn main() {
     let protocol = Protocol::from_args();
-    let models = protocol.select_models(&PAPER_MODELS);
     let mut table = TableBuilder::new();
-
-    for model_name in &models {
-        for seed in 0..protocol.seeds as u64 {
-            let graph = BenchDataset::DGraphFin
-                .config(protocol.scale, seed ^ 0xda7a)
-                .generate();
-            let (_, run) = run_nc_seed_on(model_name, &graph, &protocol, seed);
-            let m = run.multiclass.expect("DGraphFin is multi-class");
-            eprintln!(
-                "{model_name} seed {seed}: acc {:.4} f1w {:.4}",
-                m.accuracy, m.f1_weighted
-            );
-            table.add("Accuracy", model_name, m.accuracy);
-            table.add("Precision", model_name, m.precision_weighted);
-            table.add("Recall", model_name, m.recall_weighted);
-            table.add("F1", model_name, m.f1_weighted);
-        }
+    for r in TABLE22_MULTILABEL.run(&protocol) {
+        let m = r.nc().multiclass.expect("DGraphFin is multi-class");
+        table.add("Accuracy", &r.model, m.accuracy);
+        table.add("Precision", &r.model, m.precision_weighted);
+        table.add("Recall", &r.model, m.recall_weighted);
+        table.add("F1", &r.model, m.f1_weighted);
     }
 
     println!(

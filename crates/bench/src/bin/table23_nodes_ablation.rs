@@ -3,49 +3,20 @@
 //! one (USLegis, timestamps 0..11): removing NODEs should hurt CanParl far
 //! more than USLegis (Appendix H).
 
-use benchtemp_bench::{measured, run_lp_seed, save_json, Protocol, TableBuilder};
-use benchtemp_core::dataloader::Setting;
-use benchtemp_graph::datasets::BenchDataset;
+use benchtemp_bench::{auc_ap_tables, save_json, save_raw_runs, Protocol, TABLE23_NODES_ABLATION};
 use benchtemp_util::json;
 
 fn main() {
     let protocol = Protocol::from_args();
-    let mut auc = TableBuilder::new();
-    let mut ap = TableBuilder::new();
-    let mut raw_runs = Vec::new();
+    let runs = TABLE23_NODES_ABLATION.run(&protocol);
+    let (auc, ap) = auc_ap_tables(&runs, |r, s| {
+        (format!("{} / {}", r.preset, s.name()), r.model.clone())
+    });
 
-    for dataset in [BenchDataset::CanParl, BenchDataset::UsLegis] {
-        let preset = protocol.for_preset(dataset);
-        for variant in ["NeurTW", "NeurTW-noNODE"] {
-            for seed in 0..protocol.seeds as u64 {
-                let run = run_lp_seed(variant, dataset, &preset, seed);
-                eprintln!(
-                    "{variant} on {} seed {seed}: trans AUC {:.4}",
-                    dataset.name(),
-                    run.transductive.auc
-                );
-                for setting in Setting::all() {
-                    let m = measured(&run, setting);
-                    let row = format!("{} / {}", dataset.name(), setting.name());
-                    auc.add_opt(&row, variant, m.map(|m| m.auc));
-                    ap.add_opt(&row, variant, m.map(|m| m.ap));
-                }
-                raw_runs.push(run);
-            }
-        }
+    for (table, metric) in [(&auc, "ROC AUC"), (&ap, "AP")] {
+        let title = format!("Table 23 — NeurTW NODEs ablation, {metric}");
+        println!("{}", table.render(&title, "Dataset/Setting"));
     }
-
-    println!(
-        "{}",
-        auc.render(
-            "Table 23 — NeurTW NODEs ablation, ROC AUC",
-            "Dataset/Setting"
-        )
-    );
-    println!(
-        "{}",
-        ap.render("Table 23 — NeurTW NODEs ablation, AP", "Dataset/Setting")
-    );
     save_json(
         &protocol.out_dir,
         "table23_nodes_ablation.json",
@@ -54,5 +25,5 @@ fn main() {
             "ap": ap.to_entries(),
         }),
     );
-    save_json(&protocol.out_dir, "table23_raw_runs.json", &raw_runs);
+    save_raw_runs(&protocol.out_dir, "table23_raw_runs.json", &runs);
 }

@@ -4,11 +4,9 @@
 //! walk mechanism should do visibly better on the denser subgraph.
 
 use benchtemp_bench::{
-    density, density_subgraphs, measured, render_table, run_lp_seed_on, save_json, Protocol,
-    TableBuilder,
+    auc_ap_tables, density, density_subgraphs, render_table, save_json, save_raw_runs, Protocol,
+    TABLE25_DENSITY,
 };
-use benchtemp_core::dataloader::Setting;
-use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_util::{json, Json, ToJson};
 
 fn main() {
@@ -40,36 +38,13 @@ fn main() {
         "G_S1 must be denser than G_S2"
     );
 
-    let mut auc = TableBuilder::new();
-    let mut ap = TableBuilder::new();
-    let mut raw_runs = Vec::new();
-    for g in [&g_s1, &g_s2] {
-        let preset = Protocol {
-            rank_negatives: protocol.k_preset(NegativeStrategy::Random, |_| (*g).clone()),
-            ..protocol.clone()
-        };
-        for seed in 0..protocol.seeds as u64 {
-            let run = run_lp_seed_on("CAWN", g, &preset, seed);
-            eprintln!(
-                "CAWN on {} seed {seed}: trans AUC {:.4}",
-                g.name, run.transductive.auc
-            );
-            for setting in Setting::all() {
-                let m = measured(&run, setting);
-                auc.add_opt(&g.name, setting.name(), m.map(|m| m.auc));
-                ap.add_opt(&g.name, setting.name(), m.map(|m| m.ap));
-            }
-            raw_runs.push(run);
-        }
+    // Its presets are these two subgraphs, one graph for every seed.
+    let runs = TABLE25_DENSITY.run(&protocol);
+    let (auc, ap) = auc_ap_tables(&runs, |r, s| (r.preset.clone(), s.name().to_string()));
+    for (table, metric) in [(&auc, "ROC AUC"), (&ap, "AP")] {
+        let title = format!("Table 25 — CAWN {metric} vs subgraph density");
+        println!("{}", table.render_plain(&title, "Subgraph"));
     }
-    println!(
-        "{}",
-        auc.render_plain("Table 25 — CAWN ROC AUC vs subgraph density", "Subgraph")
-    );
-    println!(
-        "{}",
-        ap.render_plain("Table 25 — CAWN AP vs subgraph density", "Subgraph")
-    );
     // Dataset names are dynamic keys, so this object is built directly.
     let densities = Json::Obj(vec![
         (g_s1.name.clone(), density(&g_s1).to_json()),
@@ -84,5 +59,5 @@ fn main() {
             "ap": ap.to_entries(),
         }),
     );
-    save_json(&protocol.out_dir, "table25_raw_runs.json", &raw_runs);
+    save_raw_runs(&protocol.out_dir, "table25_raw_runs.json", &runs);
 }

@@ -3,77 +3,23 @@
 //! near-saturated AUC/AP on Reddit/Wikipedia/Flights-style datasets well
 //! below the random-sampler numbers.
 
-use benchtemp_bench::{measured, save_json, Protocol, TableBuilder};
-use benchtemp_core::dataloader::Setting;
-use benchtemp_core::sampler::NegativeStrategy;
-use benchtemp_graph::datasets::BenchDataset;
+use benchtemp_bench::{
+    auc_ap_tables, save_json, save_raw_runs, Protocol, TABLE26_NEGATIVE_SAMPLING,
+};
 use benchtemp_util::json;
 
 fn main() {
     let protocol = Protocol::from_args();
-    let datasets = protocol.select_datasets(&[
-        BenchDataset::Reddit,
-        BenchDataset::Wikipedia,
-        BenchDataset::Flights,
-    ]);
-    let strategies = [
-        ("Random", NegativeStrategy::Random),
-        ("Historical", NegativeStrategy::Historical),
-        ("Inductive", NegativeStrategy::Inductive),
-    ];
+    // One preset per (dataset, sampler), named "<sampler> / <dataset>".
+    let runs = TABLE26_NEGATIVE_SAMPLING.run(&protocol);
+    let (auc, ap) = auc_ap_tables(&runs, |r, s| (r.preset.clone(), s.name().to_string()));
 
-    let mut auc = TableBuilder::new();
-    let mut ap = TableBuilder::new();
-    let mut raw_runs = Vec::new();
-    for &dataset in &datasets {
-        for (sname, strategy) in strategies {
-            let k = protocol.k_preset(strategy, |seed| {
-                dataset.config(protocol.scale, seed ^ 0xda7a).generate()
-            });
-            for seed in 0..protocol.seeds as u64 {
-                let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
-                let split = benchtemp_core::dataloader::LinkPredSplit::new(&graph, seed);
-                let mut model =
-                    benchtemp_models::zoo::build("NAT", protocol.model_config(seed), &graph);
-                let mut cfg = protocol.train_config(seed);
-                cfg.neg_strategy = strategy;
-                cfg.rank_negatives = k;
-                let run = benchtemp_core::pipeline::train_link_prediction(
-                    model.as_mut(),
-                    &graph,
-                    &split,
-                    &cfg,
-                );
-                eprintln!(
-                    "NAT/{sname} on {} seed {seed}: trans AUC {:.4}",
-                    dataset.name(),
-                    run.transductive.auc
-                );
-                for setting in Setting::all() {
-                    let m = measured(&run, setting);
-                    let row = format!("{} / {}", sname, dataset.name());
-                    auc.add_opt(&row, setting.name(), m.map(|m| m.auc));
-                    ap.add_opt(&row, setting.name(), m.map(|m| m.ap));
-                }
-                raw_runs.push(run);
-            }
-        }
+    for (table, title) in [
+        (&auc, "Table 26 — NAT ROC AUC by negative-sampling strategy"),
+        (&ap, "Table 27 — NAT AP by negative-sampling strategy"),
+    ] {
+        println!("{}", table.render_plain(title, "Sampler/Dataset"));
     }
-
-    println!(
-        "{}",
-        auc.render_plain(
-            "Table 26 — NAT ROC AUC by negative-sampling strategy",
-            "Sampler/Dataset"
-        )
-    );
-    println!(
-        "{}",
-        ap.render_plain(
-            "Table 27 — NAT AP by negative-sampling strategy",
-            "Sampler/Dataset"
-        )
-    );
     save_json(
         &protocol.out_dir,
         "table26_negative_sampling.json",
@@ -82,5 +28,5 @@ fn main() {
             "ap": ap.to_entries(),
         }),
     );
-    save_json(&protocol.out_dir, "table26_raw_runs.json", &raw_runs);
+    save_raw_runs(&protocol.out_dir, "table26_raw_runs.json", &runs);
 }

@@ -3,96 +3,53 @@
 //! block (Table 12). Protocol: self-supervised LP pre-training, then the
 //! frozen-embedding decoder (§3.2.2).
 
-use benchtemp_bench::{run_nc_seed_on, save_json, Protocol, TableBuilder};
-use benchtemp_graph::datasets::BenchDataset;
-use benchtemp_models::zoo::PAPER_MODELS;
+use benchtemp_bench::{
+    save_json, save_raw_runs, EfficiencyTables, Protocol, Run, TableBuilder, TABLE5_NC,
+};
 use benchtemp_util::json;
 
 fn main() {
     let protocol = Protocol::from_args();
-    let models = protocol.select_models(&PAPER_MODELS);
-    let datasets = protocol.select_datasets(&[
-        BenchDataset::Reddit,
-        BenchDataset::Wikipedia,
-        BenchDataset::Mooc,
-    ]);
-
+    let runs = TABLE5_NC.run(&protocol);
     let mut auc = TableBuilder::new();
-    let mut runtime = TableBuilder::new();
-    let mut epochs = TableBuilder::new();
-    let mut rss = TableBuilder::new();
-    let mut state = TableBuilder::new();
-    let mut util = TableBuilder::new();
-    let mut raw = Vec::new();
-    let mut pretrain_raw = Vec::new();
-
-    for &dataset in &datasets {
-        for model_name in &models {
-            for seed in 0..protocol.seeds as u64 {
-                let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
-                let (pretrain, run) = run_nc_seed_on(model_name, &graph, &protocol, seed);
-                pretrain_raw.push(pretrain);
-                eprintln!(
-                    "{model_name} on {} seed {seed}: NC AUC {:.4}",
-                    dataset.name(),
-                    run.auc
-                );
-                let ds = dataset.name();
-                auc.add(ds, model_name, run.auc);
-                runtime.add(ds, model_name, run.efficiency.runtime_per_epoch_secs);
-                epochs.add(ds, model_name, run.efficiency.epochs_to_converge as f64);
-                if let Some(b) = run.efficiency.peak_rss_bytes {
-                    rss.add(ds, model_name, b as f64 / 1e6);
-                }
-                state.add(
-                    ds,
-                    model_name,
-                    run.efficiency.model_state_bytes as f64 / 1e6,
-                );
-                util.add(ds, model_name, run.efficiency.compute_utilization * 100.0);
-                raw.push(run);
-            }
-        }
+    for r in &runs {
+        auc.add(&r.preset, &r.model, r.nc().auc);
     }
+    let eff = EfficiencyTables::new(&runs);
 
+    let title = "Table 5 — node classification ROC AUC";
+    println!("{}", auc.render(title, "Dataset"));
+    for (table, title) in [
+        (&eff.runtime, "Table 12 — NC runtime (s/epoch)"),
+        (&eff.epochs, "Table 12 — NC epochs"),
+        (&eff.rss, "Table 12 — NC peak RSS (MB)"),
+        (&eff.state, "Table 12 — NC model state (MB)"),
+    ] {
+        println!("{}", table.render_plain(title, "Dataset"));
+    }
     println!(
         "{}",
-        auc.render("Table 5 — node classification ROC AUC", "Dataset")
-    );
-    println!(
-        "{}",
-        runtime.render_plain("Table 12 — NC runtime (s/epoch)", "Dataset")
-    );
-    println!("{}", epochs.render_plain("Table 12 — NC epochs", "Dataset"));
-    println!(
-        "{}",
-        rss.render_plain("Table 12 — NC peak RSS (MB)", "Dataset")
-    );
-    println!(
-        "{}",
-        state.render_plain("Table 12 — NC model state (MB)", "Dataset")
-    );
-    println!(
-        "{}",
-        util.render("Table 12 — NC compute utilization (%)", "Dataset")
+        eff.util
+            .render("Table 12 — NC compute utilization (%)", "Dataset")
     );
 
-    save_json(&protocol.out_dir, "table5_nc_auc.json", &auc.to_entries());
+    let out = &protocol.out_dir;
+    save_json(out, "table5_nc_auc.json", &auc.to_entries());
     save_json(
-        &protocol.out_dir,
+        out,
         "table12_nc_efficiency.json",
         &json!({
-            "runtime_s_per_epoch": runtime.to_entries(),
-            "epochs": epochs.to_entries(),
-            "peak_rss_mb": rss.to_entries(),
-            "model_state_mb": state.to_entries(),
-            "utilization_pct": util.to_entries(),
+            "runtime_s_per_epoch": eff.runtime.to_entries(),
+            "epochs": eff.epochs.to_entries(),
+            "peak_rss_mb": eff.rss.to_entries(),
+            "model_state_mb": eff.state.to_entries(),
+            "utilization_pct": eff.util.to_entries(),
         }),
     );
-    save_json(&protocol.out_dir, "table5_raw_runs.json", &raw);
     save_json(
-        &protocol.out_dir,
-        "table5_pretrain_raw_runs.json",
-        &pretrain_raw,
+        out,
+        "table5_raw_runs.json",
+        &runs.iter().map(Run::nc).collect::<Vec<_>>(),
     );
+    save_raw_runs(out, "table5_pretrain_raw_runs.json", &runs);
 }

@@ -2,90 +2,44 @@
 //! across the four settings on all fifteen datasets, LP efficiency, and
 //! node-classification AUC + efficiency on the labelled datasets.
 
-use benchtemp_bench::{measured, run_lp_seed, run_nc_seed_on, save_json, Protocol, TableBuilder};
-use benchtemp_core::dataloader::Setting;
-use benchtemp_graph::datasets::BenchDataset;
+use benchtemp_bench::{
+    auc_ap_tables, save_json, save_raw_runs, Protocol, TableBuilder, TEMP_LP, TEMP_NC,
+};
 use benchtemp_util::json;
 
 fn main() {
     let protocol = Protocol::from_args();
-    let datasets = protocol.select_datasets(&BenchDataset::all15());
 
-    // ---- Table 13: AUC & AP per setting ----
-    let mut auc = TableBuilder::new();
-    let mut ap = TableBuilder::new();
+    // ---- Tables 13 & 14: LP AUC & AP per setting, LP efficiency ----
+    let runs = TEMP_LP.run(&protocol);
+    let (auc, ap) = auc_ap_tables(&runs, |r, s| (r.preset.clone(), s.name().to_string()));
     let mut eff = TableBuilder::new();
-    let mut raw_runs = Vec::new();
-    for &dataset in &datasets {
-        let preset = protocol.for_preset(dataset);
-        for seed in 0..protocol.seeds as u64 {
-            let run = run_lp_seed("TeMP", dataset, &preset, seed);
-            eprintln!(
-                "TeMP on {} seed {seed}: trans AUC {:.4}",
-                dataset.name(),
-                run.transductive.auc
-            );
-            let ds = dataset.name();
-            for setting in Setting::all() {
-                let m = measured(&run, setting);
-                auc.add_opt(ds, setting.name(), m.map(|m| m.auc));
-                ap.add_opt(ds, setting.name(), m.map(|m| m.ap));
-            }
-            eff.add(
-                ds,
-                "Runtime (s/epoch)",
-                run.efficiency.runtime_per_epoch_secs,
-            );
-            eff.add(ds, "Epoch", run.efficiency.epochs_to_converge as f64);
-            if let Some(b) = run.efficiency.peak_rss_bytes {
-                eff.add(ds, "RSS (MB)", b as f64 / 1e6);
-            }
-            eff.add(
-                ds,
-                "State (MB)",
-                run.efficiency.model_state_bytes as f64 / 1e6,
-            );
-            eff.add(ds, "Util (%)", run.efficiency.compute_utilization * 100.0);
-            raw_runs.push(run);
+    for r in &runs {
+        let (ds, e) = (&r.preset, &r.lp.efficiency);
+        eff.add(ds, "Runtime (s/epoch)", e.runtime_per_epoch_secs);
+        eff.add(ds, "Epoch", e.epochs_to_converge as f64);
+        if let Some(b) = e.peak_rss_bytes {
+            eff.add(ds, "RSS (MB)", b as f64 / 1e6);
         }
+        eff.add(ds, "State (MB)", e.model_state_bytes as f64 / 1e6);
+        eff.add(ds, "Util (%)", e.compute_utilization * 100.0);
     }
-    println!(
-        "{}",
-        auc.render_plain("Table 13 — TeMP link-prediction ROC AUC", "Dataset")
-    );
-    println!(
-        "{}",
-        ap.render_plain("Table 13 — TeMP link-prediction AP", "Dataset")
-    );
-    println!(
-        "{}",
-        eff.render_plain("Table 14 — TeMP LP efficiency", "Dataset")
-    );
+    for (table, title) in [
+        (&auc, "Table 13 — TeMP link-prediction ROC AUC"),
+        (&ap, "Table 13 — TeMP link-prediction AP"),
+        (&eff, "Table 14 — TeMP LP efficiency"),
+    ] {
+        println!("{}", table.render_plain(title, "Dataset"));
+    }
 
     // ---- Table 15: TeMP node classification ----
     let mut nc = TableBuilder::new();
-    for dataset in [
-        BenchDataset::Reddit,
-        BenchDataset::Wikipedia,
-        BenchDataset::Mooc,
-    ] {
-        for seed in 0..protocol.seeds as u64 {
-            let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
-            let (_, run) = run_nc_seed_on("TeMP", &graph, &protocol, seed);
-            let ds = dataset.name();
-            nc.add(ds, "AUC", run.auc);
-            nc.add(
-                ds,
-                "Runtime (s/epoch)",
-                run.efficiency.runtime_per_epoch_secs,
-            );
-            nc.add(ds, "Epoch", run.efficiency.epochs_to_converge as f64);
-            nc.add(
-                ds,
-                "State (MB)",
-                run.efficiency.model_state_bytes as f64 / 1e6,
-            );
-        }
+    for r in TEMP_NC.run(&protocol) {
+        let (ds, run, e) = (&r.preset, r.nc(), &r.nc().efficiency);
+        nc.add(ds, "AUC", run.auc);
+        nc.add(ds, "Runtime (s/epoch)", e.runtime_per_epoch_secs);
+        nc.add(ds, "Epoch", e.epochs_to_converge as f64);
+        nc.add(ds, "State (MB)", e.model_state_bytes as f64 / 1e6);
     }
     println!(
         "{}",
@@ -102,5 +56,5 @@ fn main() {
             "table15_nc": nc.to_entries(),
         }),
     );
-    save_json(&protocol.out_dir, "temp_raw_runs.json", &raw_runs);
+    save_raw_runs(&protocol.out_dir, "temp_raw_runs.json", &runs);
 }

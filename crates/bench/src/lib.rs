@@ -5,7 +5,8 @@
 //! stopping uses patience 3 / tolerance 1e-3; jobs are wall-clock bounded
 //! by `--timeout-secs` (the 48 h budget, scaled). Dataset sizes are scaled
 //! by `--scale` (see `BenchDataset::config`); results are written both as
-//! aligned text (stdout) and JSON under `results/`.
+//! aligned text (stdout) and JSON under `results/`. The training harnesses
+//! are data ([`Harness`]) run through one job loop ([`run_jobs`]).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -14,17 +15,18 @@ use std::time::Duration;
 use benchtemp_util::{json, Json, ToJson};
 
 use benchtemp_core::dataloader::{LinkPredSplit, Setting};
-use benchtemp_core::pipeline::{
-    train_link_prediction, train_node_classification, LinkPredictionRun, NodeClassificationRun,
-    SettingMetrics, TrainConfig,
-};
+use benchtemp_core::pipeline::{LinkPredictionRun, SettingMetrics, TrainConfig};
 use benchtemp_core::sampler::NegativeStrategy;
 use benchtemp_core::FilteredNegativeSet;
 use benchtemp_graph::datasets::BenchDataset;
 use benchtemp_graph::features::FeatureInit;
 use benchtemp_graph::temporal_graph::{Interaction, TemporalGraph};
 use benchtemp_models::common::ModelConfig;
+use benchtemp_models::zoo::ALL_MODELS;
 use benchtemp_tensor::Matrix;
+
+mod driver;
+pub use driver::*;
 
 /// Command-line protocol shared by the harness binaries.
 #[derive(Clone, Debug)]
@@ -66,41 +68,92 @@ impl Default for Protocol {
 }
 
 impl Protocol {
-    /// Parse `--scale --seeds --epochs --batch --timeout-secs --models a,b
-    /// --datasets x,y --out dir --quick` from `std::env::args`.
+    /// The protocol from `std::env::args`. `--help` prints the usage line
+    /// and exits 0; a bad argument prints the error and the usage line to
+    /// stderr and exits 2, before any job runs or any file is written.
     pub fn from_args() -> Self {
+        let args: Vec<String> = std::env::args().collect();
+        let bin = args.first().map_or("harness", |a| {
+            a.rsplit(['/', '\\']).next().unwrap_or(a.as_str())
+        });
+        let usage = format!("usage: {bin} {FLAGS}");
+        if wants_help(&args[1..]) {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Protocol::parse(&args[1..]).unwrap_or_else(|e| {
+            eprintln!("{bin}: {e}\n{usage}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Parse `--scale --seeds --epochs --batch --timeout-secs --rank-negs
+    /// --models a,b --datasets x,y --out dir --quick`. Model names must be
+    /// in [`ALL_MODELS`] and dataset names (any case) must name a
+    /// [`BenchDataset`].
+    pub fn parse(args: &[String]) -> Result<Protocol, String> {
+        fn num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|_| format!("invalid value {value:?} for {flag}"))
+        }
         let mut p = Protocol::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let next = |i: &mut usize| -> String {
-                *i += 1;
-                args.get(*i)
-                    .unwrap_or_else(|| panic!("missing value for {}", args[*i - 1]))
-                    .clone()
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| format!("missing value for {flag}"))
             };
-            match args[i].as_str() {
-                "--scale" => p.scale = next(&mut i).parse().expect("--scale"),
-                "--seeds" => p.seeds = next(&mut i).parse().expect("--seeds"),
-                "--epochs" => p.max_epochs = next(&mut i).parse().expect("--epochs"),
-                "--batch" => p.batch_size = next(&mut i).parse().expect("--batch"),
-                "--timeout-secs" => {
-                    p.timeout = Duration::from_secs(next(&mut i).parse().expect("--timeout-secs"))
-                }
-                "--rank-negs" => p.rank_negatives = next(&mut i).parse().expect("--rank-negs"),
-                "--models" => p.models = next(&mut i).split(',').map(str::to_string).collect(),
-                "--datasets" => p.datasets = next(&mut i).split(',').map(str::to_string).collect(),
-                "--out" => p.out_dir = PathBuf::from(next(&mut i)),
+            match flag.as_str() {
+                "--scale" => p.scale = num(flag, value()?)?,
+                "--seeds" => p.seeds = num(flag, value()?)?,
+                "--epochs" => p.max_epochs = num(flag, value()?)?,
+                "--batch" => p.batch_size = num(flag, value()?)?,
+                "--timeout-secs" => p.timeout = Duration::from_secs(num(flag, value()?)?),
+                "--rank-negs" => p.rank_negatives = num(flag, value()?)?,
+                "--models" => p.models = value()?.split(',').map(str::to_string).collect(),
+                "--datasets" => p.datasets = value()?.split(',').map(str::to_string).collect(),
+                "--out" => p.out_dir = PathBuf::from(value()?),
                 "--quick" => {
                     p.scale = 0.001;
                     p.seeds = 1;
                     p.max_epochs = 4;
                 }
-                other => panic!("unknown argument {other:?}"),
+                other => return Err(format!("unknown argument {other:?}")),
             }
-            i += 1;
         }
-        p
+        // Out of range, these would panic mid-run or write empty tables.
+        if !(p.scale > 0.0 && p.scale <= 1.0) {
+            return Err(format!(
+                "invalid value \"{}\" for --scale: not in (0, 1]",
+                p.scale
+            ));
+        }
+        for (flag, n) in [
+            ("--seeds", p.seeds),
+            ("--epochs", p.max_epochs),
+            ("--batch", p.batch_size),
+        ] {
+            if n == 0 {
+                return Err(format!(
+                    "invalid value \"0\" for {flag}: must be at least 1"
+                ));
+            }
+        }
+        if let Some(m) = p.models.iter().find(|m| !ALL_MODELS.contains(&m.as_str())) {
+            return Err(format!(
+                "unknown model {m:?}; known: {}",
+                ALL_MODELS.join(", ")
+            ));
+        }
+        if let Some(d) = p.datasets.iter().find(|d| find_dataset(d).is_none()) {
+            let known: Vec<&str> = known_datasets().iter().map(|d| d.name()).collect();
+            return Err(format!(
+                "unknown dataset {d:?}; known: {}",
+                known.join(", ")
+            ));
+        }
+        Ok(p)
     }
 
     /// Datasets selected by `--datasets`, defaulting to the given list.
@@ -108,15 +161,9 @@ impl Protocol {
         if self.datasets.is_empty() {
             return default.to_vec();
         }
-        let mut all: Vec<BenchDataset> = BenchDataset::all15();
-        all.extend(BenchDataset::new6());
         self.datasets
             .iter()
-            .filter_map(|n| {
-                all.iter()
-                    .find(|d| n.eq_ignore_ascii_case(d.name()))
-                    .copied()
-            })
+            .filter_map(|n| find_dataset(n))
             .collect()
     }
 
@@ -146,31 +193,26 @@ impl Protocol {
 
     /// The ranking K shared by every seed of one preset: the smallest
     /// `k_effective` over the seeds' test candidate sets, built as
-    /// `train_link_prediction` builds them but without training
-    /// (`graph_of_seed` must return the graph that seed's job trains on).
-    /// Ranking each seed at this K keeps mean ± std MRR from mixing K, which
-    /// a per-job clamp does (Wikipedia/Historical clamps to 10, 8 and 9 at
+    /// `train_link_prediction` builds them but without training. Ranking
+    /// each seed at this K keeps mean ± std MRR from mixing K, which a
+    /// per-job clamp does (Wikipedia/Historical clamps to 10, 8 and 9 at
     /// seeds 0–2). A seed whose filtered pool is empty is left out — its own
     /// run records the error. With ranking off, or no seed able to rank,
     /// this is `rank_negatives` unchanged.
-    pub fn k_preset(
-        &self,
-        strategy: NegativeStrategy,
-        graph_of_seed: impl Fn(u64) -> TemporalGraph,
-    ) -> usize {
+    pub fn k_preset(&self, preset: &Preset) -> usize {
         if self.rank_negatives == 0 {
             return 0;
         }
         (0..self.seeds as u64)
             .filter_map(|seed| {
-                let graph = graph_of_seed(seed);
+                let graph = preset.graph(seed);
                 let split = LinkPredSplit::new(&graph, seed);
                 // k_effective depends on the pools, not on the draw seed.
                 FilteredNegativeSet::try_build(
                     &graph,
                     &split.train,
                     &split.test,
-                    strategy,
+                    preset.strategy,
                     self.rank_negatives,
                     seed,
                 )
@@ -179,31 +221,6 @@ impl Protocol {
             })
             .min()
             .unwrap_or(self.rank_negatives)
-    }
-
-    /// This protocol with `rank_negatives` set to `dataset`'s
-    /// [`Protocol::k_preset`] under the default (random) negative sampler,
-    /// for the harnesses that run [`run_lp_seed`] over the seeds.
-    pub fn for_preset(&self, dataset: BenchDataset) -> Protocol {
-        let k = self.k_preset(NegativeStrategy::Random, |seed| {
-            dataset.config(self.scale, seed ^ 0xda7a).generate()
-        });
-        Protocol {
-            rank_negatives: k,
-            ..self.clone()
-        }
-    }
-
-    /// Configuration of the self-supervised LP pre-training that precedes
-    /// node classification: [`Protocol::train_config`] with ranking off. No
-    /// table reads the pre-training's MRR, and candidate scoring draws from
-    /// its own RNG (`ranking_rng`) and leaves the model untouched, so the
-    /// NC results are the same bits either way.
-    pub fn pretrain_config(&self, seed: u64) -> TrainConfig {
-        TrainConfig {
-            rank_negatives: 0,
-            ..self.train_config(seed)
-        }
     }
 
     /// Model hyperparameters for one seed run — slightly smaller than the
@@ -223,49 +240,29 @@ impl Protocol {
     }
 }
 
-/// One seed run of one LP job on a preset dataset.
-pub fn run_lp_seed(
-    model_name: &str,
-    dataset: BenchDataset,
-    protocol: &Protocol,
-    seed: u64,
-) -> LinkPredictionRun {
-    let graph = dataset.config(protocol.scale, seed ^ 0xda7a).generate();
-    run_lp_seed_on(model_name, &graph, protocol, seed)
+/// Every dataset a harness may name: the fifteen of Table 2 and the six of
+/// Table 16.
+fn known_datasets() -> Vec<BenchDataset> {
+    let mut all = BenchDataset::all15();
+    all.extend(BenchDataset::new6());
+    all
 }
 
-/// Same, on a pre-built graph (density/ablation harnesses build their own).
-pub fn run_lp_seed_on(
-    model_name: &str,
-    graph: &TemporalGraph,
-    protocol: &Protocol,
-    seed: u64,
-) -> LinkPredictionRun {
-    let split = LinkPredSplit::new(graph, seed);
-    let mut model = benchtemp_models::zoo::build(model_name, protocol.model_config(seed), graph);
-    train_link_prediction(model.as_mut(), graph, &split, &protocol.train_config(seed))
+/// The dataset called `name`, in any case.
+fn find_dataset(name: &str) -> Option<BenchDataset> {
+    known_datasets()
+        .into_iter()
+        .find(|d| name.eq_ignore_ascii_case(d.name()))
 }
 
-/// One seed run of one NC job on a pre-built labelled graph (§3.2.2):
-/// self-supervised LP pre-training ([`Protocol::pretrain_config`]), then the
-/// frozen-embedding decoder. Returns the pre-training run and the NC run.
-pub fn run_nc_seed_on(
-    model_name: &str,
-    graph: &TemporalGraph,
-    protocol: &Protocol,
-    seed: u64,
-) -> (LinkPredictionRun, NodeClassificationRun) {
-    let split = LinkPredSplit::new(graph, seed);
-    let mut model = benchtemp_models::zoo::build(model_name, protocol.model_config(seed), graph);
-    let pretrain = train_link_prediction(
-        model.as_mut(),
-        graph,
-        &split,
-        &protocol.pretrain_config(seed),
-    );
-    let run = train_node_classification(model.as_mut(), graph, &protocol.train_config(seed));
-    (pretrain, run)
+/// Whether `args` ask for the usage line.
+fn wants_help(args: &[String]) -> bool {
+    args.iter().any(|a| a == "--help")
 }
+
+/// The harness flags, for the usage line.
+const FLAGS: &str = "[--scale F] [--seeds N] [--epochs N] [--batch N] [--timeout-secs N] \
+[--rank-negs K] [--models A,B] [--datasets X,Y] [--out DIR] [--quick]";
 
 /// The Fig. 2 dataset: MOOC-style, with `node_dim` random fixed initial
 /// node features.
@@ -714,6 +711,61 @@ mod tests {
         assert_eq!(tc.patience, 3);
         assert_eq!(tc.tolerance, 1e-3);
         assert_eq!(tc.seed, 7);
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn parse_reads_every_flag() {
+        let p = Protocol::parse(&args(
+            "--scale 0.01 --seeds 2 --epochs 4 --batch 50 --timeout-secs 9 --rank-negs 5 \
+             --models TGN,NAT --datasets mooc,Enron --out o",
+        ))
+        .unwrap();
+        assert_eq!(
+            (
+                p.scale,
+                p.seeds,
+                p.max_epochs,
+                p.batch_size,
+                p.rank_negatives
+            ),
+            (0.01, 2, 4, 50, 5)
+        );
+        assert_eq!(p.timeout, Duration::from_secs(9));
+        assert_eq!(p.models, ["TGN", "NAT"]);
+        assert_eq!(p.datasets, ["mooc", "Enron"]);
+        assert_eq!(p.out_dir, PathBuf::from("o"));
+        let q = Protocol::parse(&args("--quick")).unwrap();
+        assert_eq!((q.scale, q.seeds, q.max_epochs), (0.001, 1, 4));
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_not_panics() {
+        for (line, expected) in [
+            ("--no-such-flag", "unknown argument \"--no-such-flag\""),
+            ("--seeds 1 --out", "missing value for --out"),
+            ("--seeds three", "invalid value \"three\" for --seeds"),
+            ("--scale 0.0.1", "invalid value \"0.0.1\" for --scale"),
+            ("--scale -1", "invalid value \"-1\" for --scale"),
+            ("--scale 1.5", "invalid value \"1.5\" for --scale"),
+            ("--seeds 0", "invalid value \"0\" for --seeds"),
+            ("--epochs 0", "invalid value \"0\" for --epochs"),
+            ("--batch 0", "invalid value \"0\" for --batch"),
+            ("--datasets Enron,wikipeda", "unknown dataset \"wikipeda\""),
+            ("--models TGN,TGNN", "unknown model \"TGNN\""),
+        ] {
+            let err = Protocol::parse(&args(line)).unwrap_err();
+            assert!(err.starts_with(expected), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_is_asked_for_anywhere_in_the_line() {
+        assert!(wants_help(&args("--seeds 1 --help")));
+        assert!(!wants_help(&args("--seeds 1")));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The NC harnesses pre-train their encoders with ranking off
-//! (`Protocol::pretrain_config`), because no table reads the pre-training's
-//! MRR. That is only sound if ranking cannot reach the NC result: candidate
-//! scoring draws from its own RNG (`ranking_rng`) and leaves parameters and
-//! memory as they were. This pins it — the NC AUC bits of a pre-training
-//! with ranking on and one with ranking off are equal.
+//! The driver pre-trains the encoders of node-classification jobs with
+//! ranking off, because no table reads the pre-training's MRR. That is only
+//! sound if ranking cannot reach the NC result: candidate scoring draws
+//! from its own RNG (`ranking_rng`) and leaves parameters and memory as
+//! they were. This pins it — the NC AUC bits of a pre-training with
+//! ranking on and one with ranking off are equal.
 
-use benchtemp_bench::{run_nc_seed_on, Protocol};
+use benchtemp_bench::{run_jobs, Preset, Protocol, Task};
 use benchtemp_core::dataloader::LinkPredSplit;
 use benchtemp_core::pipeline::{train_link_prediction, train_node_classification};
 use benchtemp_graph::datasets::BenchDataset;
@@ -15,13 +15,13 @@ use benchtemp_models::zoo;
 fn nc_auc_bits_do_not_depend_on_pretrain_ranking() {
     let p = Protocol {
         scale: 0.001,
+        seeds: 1,
         max_epochs: 2,
         ..Protocol::default()
     };
     let seed = 0;
-    let graph = BenchDataset::Wikipedia
-        .config(p.scale, seed ^ 0xda7a)
-        .generate();
+    let preset = Preset::dataset(BenchDataset::Wikipedia, p.scale);
+    let graph = preset.graph(seed);
     for model_name in ["TGN", "NAT"] {
         // Ranking on: the pre-training the harnesses used to run.
         let split = LinkPredSplit::new(&graph, seed);
@@ -35,8 +35,14 @@ fn nc_auc_bits_do_not_depend_on_pretrain_ranking() {
         );
         let on = train_node_classification(model.as_mut(), &graph, &cfg);
 
-        let (pretrain_off, off) = run_nc_seed_on(model_name, &graph, &p, seed);
-        assert!(pretrain_off.transductive.ranking.is_none());
+        let runs = run_jobs(
+            &p,
+            Task::NodeClassification,
+            std::slice::from_ref(&preset),
+            &[model_name.to_string()],
+        );
+        assert!(runs[0].lp.transductive.ranking.is_none());
+        let off = runs[0].nc();
         assert_eq!(
             on.auc.to_bits(),
             off.auc.to_bits(),

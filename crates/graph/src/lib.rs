@@ -13,7 +13,6 @@ pub mod io;
 pub mod neighbors;
 pub mod paged;
 pub mod reindex;
-pub mod snapshots;
 pub mod stats;
 pub mod temporal_graph;
 

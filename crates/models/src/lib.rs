@@ -8,7 +8,6 @@
 pub mod common;
 pub mod edgebank;
 pub mod nat;
-pub mod snapshot_gnn;
 pub mod temp_model;
 pub mod tgat;
 pub mod tgn_family;
@@ -19,7 +18,6 @@ pub mod zoo;
 pub use common::ModelConfig;
 pub use edgebank::{EdgeBank, EdgeBankVariant};
 pub use nat::Nat;
-pub use snapshot_gnn::SnapshotGnn;
 pub use temp_model::Temp;
 pub use tgat::Tgat;
 pub use tgn_family::{TgnFamily, TgnVariant};

@@ -7,7 +7,6 @@ use benchtemp_graph::temporal_graph::TemporalGraph;
 use crate::common::ModelConfig;
 use crate::edgebank::EdgeBank;
 use crate::nat::Nat;
-use crate::snapshot_gnn::SnapshotGnn;
 use crate::temp_model::Temp;
 use crate::tgat::Tgat;
 use crate::tgn_family::TgnFamily;
@@ -16,9 +15,9 @@ use crate::walk_models::WalkModel;
 /// The seven models of the main-paper comparison, in Table 1 order.
 pub const PAPER_MODELS: [&str; 7] = ["JODIE", "DyRep", "TGN", "TGAT", "CAWN", "NeurTW", "NAT"];
 
-/// All constructible models: the paper seven, TeMP, the EdgeBank baseline,
-/// the NeurTW NODE-ablation variant, and the §5 snapshot-sequence baseline.
-pub const ALL_MODELS: [&str; 11] = [
+/// All constructible models: the paper seven, TeMP, the EdgeBank baseline
+/// and the NeurTW NODE-ablation variant.
+pub const ALL_MODELS: [&str; 10] = [
     "JODIE",
     "DyRep",
     "TGN",
@@ -29,7 +28,6 @@ pub const ALL_MODELS: [&str; 11] = [
     "TeMP",
     "EdgeBank",
     "NeurTW-noNODE",
-    "SnapshotGNN",
 ];
 
 /// Build a model by its paper name. Panics on unknown names (the harnesses
@@ -46,7 +44,6 @@ pub fn build(name: &str, cfg: ModelConfig, graph: &TemporalGraph) -> Box<dyn Tgn
         "NAT" => Box::new(Nat::new(cfg, graph)),
         "TeMP" => Box::new(Temp::new(cfg, graph)),
         "EdgeBank" => Box::new(EdgeBank::unlimited()),
-        "SnapshotGNN" => Box::new(SnapshotGnn::new(cfg, graph)),
         other => panic!("unknown model {other:?}; known: {ALL_MODELS:?}"),
     }
 }

@@ -8,7 +8,7 @@ use benchtemp_core::dataloader::LinkPredSplit;
 use benchtemp_core::pipeline::{train_link_prediction, TgnnModel, TrainConfig};
 use benchtemp_graph::generators::GeneratorConfig;
 use benchtemp_models::common::ModelConfig;
-use benchtemp_models::{EdgeBank, Nat, SnapshotGnn, Temp, Tgat, WalkModel};
+use benchtemp_models::{EdgeBank, Nat, Temp, Tgat, WalkModel};
 
 fn dataset() -> benchtemp_graph::TemporalGraph {
     let mut cfg = GeneratorConfig::small("zoo", 177);
@@ -88,11 +88,4 @@ fn temp_learns() {
 #[test]
 fn edgebank_exploits_recurrence() {
     check(&mut EdgeBank::unlimited(), 0.55);
-}
-
-#[test]
-fn snapshot_gnn_learns_but_lags_continuous_models() {
-    // §5: snapshot methods are the paradigm continuous-time TGNNs improved
-    // on; the baseline must beat chance but is not expected to win.
-    check(&mut SnapshotGnn::new(model_cfg(), &dataset()), 0.55);
 }
